@@ -2,8 +2,9 @@
 //!
 //! Stands up `mvqoe-telemetryd` on loopback and pushes a short-observation
 //! fleet through it over concurrent load-generator connections — the full
-//! path: simulate, serialize each 1 Hz sample to NDJSON, ship over TCP,
-//! parse, replay into observations, fold into mutex-guarded shards. Then
+//! path: simulate, serialize each run of same-state 1 Hz samples to one
+//! NDJSON frame, ship over TCP, parse, replay into observations, fold into
+//! mutex-guarded shards. `reports` counts those frames. Then
 //! hammers `/query/headline` to measure query latency under a folded
 //! aggregate. Writes `BENCH_service.json` at the workspace root and acts
 //! as its own regression guard: the service path must sustain at least
@@ -27,7 +28,7 @@ fn cfg(users: u32) -> FleetConfig {
 }
 
 /// Ingest the whole fleet through the service over `conns` connections;
-/// returns (wall seconds, reports ingested).
+/// returns (wall seconds, frames ingested).
 fn service_ingest_secs(c: &FleetConfig, shards: u32, conns: u32) -> (f64, u64) {
     let state = ServiceState::new(*c, shards, SharedRegistry::new());
     let server = TelemetryServer::start(state, 0).expect("bind loopback");

@@ -1,12 +1,12 @@
 //! Equivalence tests for the live telemetry service.
 //!
-//! The service path — simulate on the loadgen side, serialize every 1 Hz
-//! sample to NDJSON, ship it over loopback TCP, replay it into
-//! observations, fold out of order into mutex-guarded shards, merge at
-//! shutdown — must land byte-identical to the in-process sharded batch
-//! engine over the same coordinate-derived seeds, at any shard count and
-//! any connection interleaving. Observation medians are shortened (the
-//! clamp scales with the median) so the suite stays fast.
+//! The service path — simulate on the loadgen side, serialize every run
+//! of same-state 1 Hz samples to one NDJSON frame, ship it over loopback
+//! TCP, replay it into observations, fold out of order into mutex-guarded
+//! shards, merge at shutdown — must land byte-identical to the in-process
+//! sharded batch engine over the same coordinate-derived seeds, at any
+//! shard count and any connection interleaving. Observation medians are
+//! shortened (the clamp scales with the median) so the suite stays fast.
 
 use mvqoe_experiments::fleet_figs::run_fleet_sharded;
 use mvqoe_experiments::serve;

@@ -116,10 +116,15 @@ pub struct UserStream {
     pub hours: f64,
 }
 
+/// Number of 1 Hz samples an observation of `hours` spans.
+pub fn observation_seconds(hours: f64) -> u64 {
+    (hours * 3600.0) as u64
+}
+
 impl UserStream {
     /// Number of 1 Hz samples this observation spans.
     pub fn seconds(&self) -> u64 {
-        (self.hours * 3600.0) as u64
+        observation_seconds(self.hours)
     }
 
     /// A fresh observation for this user's device and pattern.

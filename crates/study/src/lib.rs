@@ -24,8 +24,9 @@ pub use fleet_aggregate::{
     TOP_PRESSURE_K,
 };
 pub use fleet_study::{
-    assemble_fleet, run_fleet, simulate_range, simulate_range_chunked, simulate_range_from,
-    simulate_user, start_user, FleetConfig, FleetResults, UserStream, BATCH_CHUNK,
+    assemble_fleet, observation_seconds, run_fleet, simulate_range, simulate_range_chunked,
+    simulate_range_from, simulate_user, start_user, FleetConfig, FleetResults, UserStream,
+    BATCH_CHUNK,
 };
 pub use observation::DeviceObservation;
 pub use survey::{run_survey, SurveyConfig, SurveyResults};

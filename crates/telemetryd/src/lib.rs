@@ -16,10 +16,19 @@
 //! * `GET /query/attribution` — the fleet-wide blame ledger: rebuffer
 //!   time and dropped frames per kernel/network cause.
 //!
+//! Fleet samples travel run-length coded ([`report`] has an example
+//! line): a `Run` frame is one sample plus the number of consecutive
+//! seconds that repeat its state, and a `Sample` frame is a run of one.
+//! The server records a run's sample `count` times under one shard lock,
+//! and rejects, as a parse failure, a run of zero or one that would carry
+//! a device past the `(hours × 3600) as u64` samples its `Begin` declared
+//! (a `Begin` may declare at most the fleet config's `hours_hi`).
+//! Ingest acks and `reports_total` count frames, not device-seconds.
+//!
 //! The aggregate's merge algebra is associative and order-insensitive over
 //! disjoint device sets, so the service's final aggregate is byte-identical
-//! to the batch engine's — the invariant `tests/service.rs` and the
-//! `exp-serve` experiment pin.
+//! to the batch engine's — the invariant `tests/service.rs`,
+//! `tests/run_frames.rs` and the `exp-serve` experiment pin.
 //!
 //! Everything is `std`-only (`std::net` + worker threads, hand-rolled
 //! HTTP/1.1): the build environment is offline, and the load — a few

@@ -2,7 +2,8 @@
 //! session simulators and upload their 1 Hz output as newline-delimited
 //! JSON device reports, exactly as a phone-side agent would. The fleet
 //! generator replays the same coordinate-derived seeds as the batch
-//! engine (`start_user` + `step_1s`), so a service that ingests its
+//! engine (`start_user` + `step_1s`) and sends each maximal run of
+//! same-state seconds as one `Run` frame, so a service that ingests its
 //! stream must fold to a byte-identical [`mvqoe_study::FleetAggregate`].
 
 use crate::report::{DeviceReport, IngestAck};
@@ -11,6 +12,7 @@ use mvqoe_core::{Session, SessionConfig};
 use mvqoe_sim::SimTime;
 use mvqoe_study::{start_user, FleetConfig};
 use mvqoe_video::Fps;
+use mvqoe_workload::FleetSample;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::ops::Range;
@@ -47,9 +49,26 @@ fn write_report(
     writeln!(writer, "{line}")
 }
 
+/// Coalesce consecutive 1 Hz samples into maximal runs of the same state:
+/// each run's first sample and the number of seconds it covers.
+fn sample_runs(
+    samples: impl Iterator<Item = FleetSample>,
+) -> impl Iterator<Item = (FleetSample, u32)> {
+    let mut samples = samples.peekable();
+    std::iter::from_fn(move || {
+        let first = samples.next()?;
+        let mut count = 1u32;
+        while count < u32::MAX && samples.next_if(|s| first.same_state(s)).is_some() {
+            count += 1;
+        }
+        Some((first, count))
+    })
+}
+
 /// Simulate fleet users `users` under `cfg` and upload each as a
-/// `Begin` / 1 Hz `Sample` stream / `End` sequence over one connection.
-/// Returns the server's ack once everything uploaded is folded.
+/// `Begin` / `Run` frames covering its 1 Hz samples / `End` sequence over
+/// one connection. Returns the server's ack once everything uploaded is
+/// folded.
 pub fn run_fleet_loadgen(
     addr: SocketAddr,
     cfg: &FleetConfig,
@@ -69,9 +88,16 @@ pub fn run_fleet_loadgen(
                     hours: st.hours,
                 },
             )?;
-            for s in 0..st.seconds() {
-                let sample = st.user.step_1s(SimTime::from_secs(s));
-                write_report(writer, &DeviceReport::Sample { device: i, sample })?;
+            let steps = (0..st.seconds()).map(|s| st.user.step_1s(SimTime::from_secs(s)));
+            for (sample, count) in sample_runs(steps) {
+                write_report(
+                    writer,
+                    &DeviceReport::Run {
+                        device: i,
+                        sample,
+                        count,
+                    },
+                )?;
             }
             write_report(writer, &DeviceReport::End { device: i })?;
         }
@@ -110,4 +136,43 @@ pub fn run_session_loadgen(
             None => Ok(()),
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn coalescer_emits_maximal_runs_covering_every_second() {
+        let cfg = FleetConfig::scaled(6, 2077, 0.05, 0.005);
+        let mut runs_total = 0;
+        for i in 0..cfg.n_users {
+            let mut st = start_user(&cfg, i);
+            let samples: Vec<FleetSample> = (0..st.seconds())
+                .map(|s| st.user.step_1s(SimTime::from_secs(s)))
+                .collect();
+            let runs: Vec<(FleetSample, u32)> = sample_runs(samples.iter().copied()).collect();
+            let covered: u64 = runs.iter().map(|&(_, n)| u64::from(n)).sum();
+            assert_eq!(covered, st.seconds(), "device {i}: runs cover every second");
+            let mut next = 0u64;
+            for (k, &(first, count)) in runs.iter().enumerate() {
+                assert!(count >= 1, "device {i}: empty run");
+                assert_eq!(first.at, SimTime::from_secs(next), "device {i}: run {k}");
+                let span = &samples[next as usize..(next + u64::from(count)) as usize];
+                assert!(
+                    span.iter().all(|s| first.same_state(s)),
+                    "device {i}: run {k} mixes states"
+                );
+                if let Some(after) = samples.get((next + u64::from(count)) as usize) {
+                    assert!(
+                        !first.same_state(after),
+                        "device {i}: run {k} is not maximal"
+                    );
+                }
+                next += u64::from(count);
+            }
+            runs_total += runs.len();
+        }
+        assert!(runs_total > 0);
+    }
 }

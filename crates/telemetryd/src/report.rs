@@ -1,12 +1,32 @@
 //! The ingest wire format: newline-delimited JSON device reports.
 //!
 //! A device's upload is a stream of [`DeviceReport`] lines — a `Begin`
-//! announcing the device, its 1 Hz `Sample`s, and an `End` closing the
+//! announcing the device, its 1 Hz samples, and an `End` closing the
 //! observation window — plus `Qoe` lines from live video sessions. The
-//! server replays `Sample`s through [`mvqoe_study::DeviceObservation`],
-//! which is a pure function of the sample stream, and JSON round-trips
-//! `f64` bit-exactly, so an uploaded observation folds byte-identically
-//! to one computed on-device.
+//! samples travel run-length coded: a `Run` frame carries one sample and
+//! how many consecutive seconds repeat its state, and a `Sample` frame is
+//! a run of one. Most fleet seconds repeat the one before, so the load
+//! generator sends every maximal run as one `Run` line:
+//!
+//! ```text
+//! {"Run":{"device":3,"sample":{"at":120000000,"available_mib":1423.5,"utilization_pct":61.2,"trim":"Normal","interactive":false,"n_services":17},"count":48}}
+//! ```
+//!
+//! stands for the seconds 120 to 167 of device 3, all in the same state.
+//! The server replays each run through [`mvqoe_study::DeviceObservation`]
+//! `count` times; the observation is a pure function of the sample states
+//! and never reads a timestamp, and JSON round-trips `f64` bit-exactly, so
+//! an uploaded observation folds byte-identically to one computed
+//! on-device.
+//!
+//! A device may not send more samples than its `Begin` declared:
+//! `(hours × 3600) as u64` ([`mvqoe_study::observation_seconds`]), and a
+//! `Begin` may not declare more hours than the fleet protocol's
+//! `hours_hi`. A frame that would carry a device past its bound, a run of
+//! zero samples, or samples for a device not in flight are protocol
+//! violations, counted as parse failures, so no line asks for more work
+//! than one device's observation. [`IngestAck::accepted`] counts frames,
+//! not device-seconds.
 
 use mvqoe_core::{AttributionReport, QoeReport};
 use mvqoe_workload::{FleetSample, UsagePattern};
@@ -31,12 +51,24 @@ pub enum DeviceReport {
         /// Observation length in hours.
         hours: f64,
     },
-    /// One 1 Hz memory/state sample from an open observation.
+    /// One 1 Hz memory/state sample from an open observation: a `Run`
+    /// of one.
     Sample {
         /// Fleet user index.
         device: u32,
         /// The sample.
         sample: FleetSample,
+    },
+    /// `count` consecutive 1 Hz samples from an open observation, all
+    /// [`FleetSample::same_state`] as `sample`: taken at `sample.at`,
+    /// `sample.at + 1 s`, and so on.
+    Run {
+        /// Fleet user index.
+        device: u32,
+        /// The run's first sample.
+        sample: FleetSample,
+        /// Seconds the run covers (at least one).
+        count: u32,
     },
     /// The device's observation window closed; fold it into the fleet.
     End {
@@ -68,6 +100,7 @@ impl DeviceReport {
         match *self {
             DeviceReport::Begin { device, .. }
             | DeviceReport::Sample { device, .. }
+            | DeviceReport::Run { device, .. }
             | DeviceReport::End { device }
             | DeviceReport::Qoe { device, .. }
             | DeviceReport::Attribution { device, .. } => device,
@@ -80,7 +113,7 @@ impl DeviceReport {
 /// connection closes.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct IngestAck {
-    /// Reports applied successfully.
+    /// Frames (report lines) applied successfully.
     pub accepted: u64,
     /// Devices folded into the fleet aggregate by this connection.
     pub folded: u64,
@@ -115,6 +148,29 @@ mod tests {
         assert_eq!(back.device(), 7);
         match back {
             DeviceReport::Begin { hours, .. } => assert_eq!(hours, 16.25),
+            other => panic!("wrong variant: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_documented_run_line_parses() {
+        let line = r#"{"Run":{"device":3,"sample":{"at":120000000,"available_mib":1423.5,"utilization_pct":61.2,"trim":"Normal","interactive":false,"n_services":17},"count":48}}"#;
+        match serde_json::from_str::<DeviceReport>(line).unwrap() {
+            DeviceReport::Run {
+                device,
+                sample,
+                count,
+            } => {
+                assert_eq!((device, count), (3, 48));
+                assert_eq!(sample.at, mvqoe_sim::SimTime::from_secs(120));
+                let again = serde_json::to_string(&DeviceReport::Run {
+                    device,
+                    sample,
+                    count,
+                })
+                .unwrap();
+                assert_eq!(again, line);
+            }
             other => panic!("wrong variant: {other:?}"),
         }
     }

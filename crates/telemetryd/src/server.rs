@@ -2,7 +2,9 @@
 //! connection. A connection's first byte picks its protocol — `{` opens a
 //! newline-delimited JSON ingest stream (device reports in, one
 //! [`IngestAck`] line back at EOF), anything else is parsed as an HTTP
-//! request and routed to `/metrics` or the `/query/*` endpoints.
+//! request and routed to `/metrics` or the `/query/*` endpoints. The
+//! acceptor joins finished connection threads as new connections arrive,
+//! so the server holds threads only for the connections in flight.
 //!
 //! The load is a handful of long-lived ingest streams plus occasional
 //! scrapes, so thread-per-connection with `std::net` is the right size —
@@ -15,7 +17,7 @@ use mvqoe_study::FleetAggregate;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Flush batched per-connection ingest tallies into the registry every
@@ -76,19 +78,26 @@ impl TelemetryServer {
 }
 
 fn accept_loop(listener: TcpListener, state: Arc<ServiceState>, stop: Arc<AtomicBool>) {
-    let workers: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
+    let mut workers: Vec<JoinHandle<()>> = Vec::new();
     for conn in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = conn else { continue };
+        // Join the connections that have finished, so a long-lived server
+        // holds a thread (and its stack) only per connection in flight.
+        let mut i = 0;
+        while i < workers.len() {
+            if workers[i].is_finished() {
+                let _ = workers.swap_remove(i).join();
+            } else {
+                i += 1;
+            }
+        }
         let state = Arc::clone(&state);
-        workers
-            .lock()
-            .unwrap()
-            .push(std::thread::spawn(move || handle_connection(stream, state)));
+        workers.push(std::thread::spawn(move || handle_connection(stream, state)));
     }
-    for h in workers.into_inner().unwrap() {
+    for h in workers {
         let _ = h.join();
     }
 }

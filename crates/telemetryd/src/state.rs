@@ -12,7 +12,10 @@
 use crate::report::DeviceReport;
 use mvqoe_core::Cause;
 use mvqoe_metrics::{prometheus, CounterId, GaugeId, HistogramId, SharedRegistry};
-use mvqoe_study::{DeviceDigest, DeviceObservation, FleetAggregate, FleetConfig};
+use mvqoe_study::{
+    observation_seconds, DeviceDigest, DeviceObservation, FleetAggregate, FleetConfig,
+};
+use mvqoe_workload::FleetSample;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -21,6 +24,9 @@ use std::sync::Mutex;
 struct Pending {
     obs: DeviceObservation,
     hours: f64,
+    /// Samples the device may still send before its declared observation
+    /// is full.
+    remaining: u64,
 }
 
 #[derive(Default)]
@@ -79,7 +85,7 @@ pub struct Headline {
     pub total_hours: f64,
     /// Observations open right now.
     pub devices_in_flight: u64,
-    /// Reports applied since startup.
+    /// Frames applied since startup: a `Run` of many seconds counts once.
     pub reports_total: u64,
     /// Lines rejected since startup.
     pub parse_failures_total: u64,
@@ -172,8 +178,10 @@ impl ServiceState {
 
     /// Apply one report. Returns `true` when the report completed a device
     /// (an `End` that folded). Protocol violations — samples for unknown
-    /// devices, duplicate `Begin`s, re-folding a folded device — come back
-    /// as `Err` and count as parse failures at the connection layer.
+    /// devices, empty runs, samples past a device's declared observation,
+    /// a `Begin` declaring more than the fleet's `hours_hi`, duplicate
+    /// `Begin`s, re-folding a folded device — come back as `Err` and count
+    /// as parse failures at the connection layer.
     pub fn apply(&self, report: &DeviceReport) -> Result<bool, String> {
         match report {
             DeviceReport::Begin {
@@ -184,6 +192,15 @@ impl ServiceState {
                 pattern,
                 hours,
             } => {
+                // The fleet protocol never observes a device longer than
+                // `hours_hi`; a longer (or non-finite) declaration would
+                // lift the bound on the samples its runs may carry.
+                if !(0.0..=self.cfg.hours_hi).contains(hours) {
+                    return Err(format!(
+                        "device {device} declares {hours} h, outside 0..={} h",
+                        self.cfg.hours_hi
+                    ));
+                }
                 let mut shard = self.shard(*device).lock().unwrap();
                 if shard.folded(*device) {
                     return Err(format!("device {device} already folded"));
@@ -201,23 +218,20 @@ impl ServiceState {
                             *pattern,
                         ),
                         hours: *hours,
+                        remaining: observation_seconds(*hours),
                     },
                 );
                 Ok(false)
             }
-            DeviceReport::Sample { device, sample } => {
-                let mut shard = self.shard(*device).lock().unwrap();
-                match shard.active.get_mut(device) {
-                    Some(p) => {
-                        p.obs.record(sample);
-                        Ok(false)
-                    }
-                    None => Err(format!("sample for unknown device {device}")),
-                }
-            }
+            DeviceReport::Sample { device, sample } => self.record_run(*device, sample, 1),
+            DeviceReport::Run {
+                device,
+                sample,
+                count,
+            } => self.record_run(*device, sample, *count),
             DeviceReport::End { device } => {
                 let mut shard = self.shard(*device).lock().unwrap();
-                let Pending { obs, hours } = shard
+                let Pending { obs, hours, .. } = shard
                     .active
                     .remove(device)
                     .ok_or_else(|| format!("end for unknown device {device}"))?;
@@ -275,6 +289,34 @@ impl ServiceState {
                 Ok(false)
             }
         }
+    }
+
+    /// Record `count` seconds in `sample`'s state into `device`'s open
+    /// observation, under one shard lock. The bound on `count` is checked
+    /// before anything is recorded, so a rejected frame leaves the
+    /// observation as it was and no frame can ask for more work than its
+    /// device's declared observation.
+    fn record_run(&self, device: u32, sample: &FleetSample, count: u32) -> Result<bool, String> {
+        if count == 0 {
+            return Err(format!("empty run for device {device}"));
+        }
+        let mut shard = self.shard(device).lock().unwrap();
+        let p = shard
+            .active
+            .get_mut(&device)
+            .ok_or_else(|| format!("samples for unknown device {device}"))?;
+        let count = u64::from(count);
+        if count > p.remaining {
+            return Err(format!(
+                "{count} sample(s) for device {device}, which has {} left to send",
+                p.remaining
+            ));
+        }
+        p.remaining -= count;
+        for _ in 0..count {
+            p.obs.record(sample);
+        }
+        Ok(false)
     }
 
     /// Fold a connection's batched ingest tallies into the registry —

@@ -3,12 +3,15 @@
 //! query endpoints answer live, and `/metrics` is valid Prometheus text.
 
 use mvqoe_metrics::{prometheus, SharedRegistry};
-use mvqoe_study::{simulate_range, FleetConfig};
+use mvqoe_sim::SimTime;
+use mvqoe_study::{simulate_range, start_user, FleetConfig};
 use mvqoe_telemetryd::{
-    run_fleet_loadgen, run_session_loadgen, Headline, ServiceState, TelemetryServer, TopEntry,
+    run_fleet_loadgen, run_session_loadgen, DeviceReport, Headline, ServiceState, TelemetryServer,
+    TopEntry,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 /// A fleet small and short enough to simulate twice in a test, with a
 /// cleaning threshold low enough that most devices are kept.
@@ -137,10 +140,38 @@ fn malformed_and_protocol_violating_lines_count_as_parse_failures() {
     let server = start_server(&cfg, 1);
     let addr = server.addr();
 
+    let mut st = start_user(&cfg, 0);
+    let begin = |device: u32, hours: f64| {
+        json(&DeviceReport::Begin {
+            device,
+            name: st.user.device.name.clone(),
+            manufacturer: st.user.device.manufacturer.clone(),
+            ram_mib: st.user.device.ram_mib,
+            pattern: st.user.pattern,
+            hours,
+        })
+    };
+    // Device 0 declares 0.01 h: exactly 36 one-second samples. Device 1
+    // declares more than the fleet's longest observation, which would lift
+    // the bound on its runs.
+    let begins = [begin(0, 0.01), begin(1, 1e9)];
+    let sample = st.user.step_1s(SimTime::ZERO);
+    let run = |device: u32, count: u32| {
+        json(&DeviceReport::Run {
+            device,
+            sample,
+            count,
+        })
+    };
+
+    let started = Instant::now();
     let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
     let mut w = &stream;
-    // Not JSON; valid JSON but not a DeviceReport; a sample for a device
-    // that never began.
+    // Not JSON; valid JSON but not a DeviceReport; an end for a device
+    // that never began; a run for a device that never began.
     writeln!(w, "{{not json").expect("write");
     writeln!(w, "{{\"Unknown\":{{}}}}").expect("write");
     writeln!(
@@ -148,21 +179,42 @@ fn malformed_and_protocol_violating_lines_count_as_parse_failures() {
         "{{\"End\":{{\"device\":7}}}}"
     )
     .expect("write");
+    writeln!(w, "{}", run(7, 1)).expect("write");
+    // The over-long `Begin` and the run it would have allowed.
+    writeln!(w, "{}", begins[1]).expect("write");
+    writeln!(w, "{}", run(1, u32::MAX)).expect("write");
+    // Frames that break device 0's declared observation: an empty run,
+    // one so long it would pin the worker for minutes, and, once its 36
+    // seconds are in, a one-second `Run` and a `Sample` past them.
+    writeln!(w, "{}", begins[0]).expect("write");
+    writeln!(w, "{}", run(0, 0)).expect("write");
+    writeln!(w, "{}", run(0, u32::MAX)).expect("write");
+    writeln!(w, "{}", run(0, 36)).expect("write");
+    writeln!(w, "{}", run(0, 1)).expect("write");
+    writeln!(w, "{}", json(&DeviceReport::Sample { device: 0, sample })).expect("write");
+    writeln!(w, "{}", json(&DeviceReport::End { device: 0 })).expect("write");
     stream
         .shutdown(std::net::Shutdown::Write)
         .expect("half-close");
     let mut ack = String::new();
     (&stream).read_to_string(&mut ack).expect("ack");
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "ack took {:?}",
+        started.elapsed()
+    );
     let ack: mvqoe_telemetryd::IngestAck =
         serde_json::from_str(ack.trim_end()).expect("ack JSON");
-    assert_eq!(ack.accepted, 0);
-    assert_eq!(ack.parse_failures, 3);
+    assert_eq!(ack.accepted, 3, "Begin, the 36-second run and End");
+    assert_eq!(ack.folded, 1);
+    assert_eq!(ack.parse_failures, 10);
 
     let (_, body) = http_get(addr, "/query/headline");
     let headline: Headline = serde_json::from_str(&body).expect("headline JSON");
-    assert_eq!(headline.parse_failures_total, 3);
-    assert_eq!(headline.recruited, 0);
-    server.shutdown();
+    assert_eq!(headline.parse_failures_total, 10);
+    assert_eq!(headline.recruited, 1);
+    let served = server.shutdown();
+    assert_eq!(served.hours, vec![(0, 0.01)]);
 }
 
 #[test]

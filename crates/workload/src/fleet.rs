@@ -90,6 +90,20 @@ pub struct FleetSample {
     pub n_services: u32,
 }
 
+impl FleetSample {
+    /// Whether `other` records the same device state as `self`: every
+    /// field but the timestamp equal bit for bit. A run of such samples
+    /// folds the same as one sample recorded that many times, because a
+    /// fold never reads `at`.
+    pub fn same_state(&self, other: &FleetSample) -> bool {
+        self.available_mib.to_bits() == other.available_mib.to_bits()
+            && self.utilization_pct.to_bits() == other.utilization_pct.to_bits()
+            && self.trim == other.trim
+            && self.interactive == other.interactive
+            && self.n_services == other.n_services
+    }
+}
+
 struct StandingApp {
     size_mib: u64,
     pid: ProcessId,
@@ -668,6 +682,47 @@ impl FleetBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn same_state_ignores_only_the_timestamp() {
+        let a = FleetSample {
+            at: SimTime::from_secs(5),
+            available_mib: 812.5,
+            utilization_pct: 61.25,
+            trim: TrimLevel::Moderate,
+            interactive: true,
+            n_services: 14,
+        };
+        assert!(a.same_state(&FleetSample {
+            at: SimTime::from_secs(6),
+            ..a
+        }));
+        let changed = [
+            FleetSample {
+                available_mib: f64::from_bits(a.available_mib.to_bits() + 1),
+                ..a
+            },
+            FleetSample {
+                utilization_pct: 61.5,
+                ..a
+            },
+            FleetSample {
+                trim: TrimLevel::Low,
+                ..a
+            },
+            FleetSample {
+                interactive: false,
+                ..a
+            },
+            FleetSample {
+                n_services: 15,
+                ..a
+            },
+        ];
+        for b in changed {
+            assert!(!a.same_state(&b), "{b:?}");
+        }
+    }
 
     #[test]
     fn usage_pattern_matches_fig1_ordering() {
