@@ -22,7 +22,7 @@ use mvqoe_sim::derive_seed;
 use serde::Serialize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// What one worker thread did during a parallel run: how many jobs it
@@ -218,43 +218,55 @@ where
     let cursor = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, R)>();
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let stats = Mutex::new(vec![WorkerStat::default(); workers]);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let f = &f;
-            let stats = &stats;
-            scope.spawn(move || {
-                let mut mine = WorkerStat::default();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+    let stats = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let tx = tx.clone();
+                let cursor = &cursor;
+                let f = &f;
+                scope.spawn(move || {
+                    let mut mine = WorkerStat::default();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let t0 = Instant::now();
+                        let result = f(&items[i]);
+                        mine.jobs += 1;
+                        mine.busy_secs += t0.elapsed().as_secs_f64();
+                        // A send failure means the receiver is gone, which
+                        // only happens if the collector below panicked; stop
+                        // quietly.
+                        if tx.send((i, result)).is_err() {
+                            break;
+                        }
                     }
-                    let t0 = Instant::now();
-                    let result = f(&items[i]);
-                    mine.jobs += 1;
-                    mine.busy_secs += t0.elapsed().as_secs_f64();
-                    // A send failure means the receiver is gone, which only
-                    // happens if the collector below panicked; stop quietly.
-                    if tx.send((i, result)).is_err() {
-                        break;
-                    }
-                }
-                stats.lock().unwrap()[w] = mine;
-            });
-        }
+                    mine
+                })
+            })
+            .collect();
         drop(tx);
         for (i, result) in rx {
             slots[i] = Some(result);
         }
+        // Join every worker before returning. The scope's own join wakes
+        // as soon as a worker's closure returns, before its OS thread has
+        // exited and handed its malloc arena back; the next call's workers
+        // could then start beside the old arenas and lift peak RSS.
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect::<Vec<WorkerStat>>()
     });
     let out = slots
         .into_iter()
         .map(|slot| slot.expect("worker pool completed every job"))
         .collect();
-    (out, stats.into_inner().unwrap())
+    (out, stats)
 }
 
 #[cfg(test)]

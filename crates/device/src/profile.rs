@@ -14,6 +14,7 @@ use mvqoe_sim::SimRng;
 use mvqoe_storage::DiskParams;
 use mvqoe_video::Resolution;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write;
 
 /// Everything device-specific.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -135,6 +136,31 @@ impl DeviceProfile {
     /// thresholds and watermarks (Fig. 5 shows signal levels vary widely
     /// across vendors), and core counts/speeds that correlate with RAM.
     pub fn fleet_device(idx: u32, rng: &mut SimRng) -> DeviceProfile {
+        let mut device = DeviceProfile::unfilled();
+        device.refill_fleet(idx, rng);
+        device
+    }
+
+    /// A placeholder for [`DeviceProfile::refill_fleet`] to fill: no name,
+    /// no cores and a 1 GiB memory configuration. It allocates nothing.
+    pub fn unfilled() -> DeviceProfile {
+        DeviceProfile {
+            name: String::new(),
+            manufacturer: String::new(),
+            ram_mib: 1024,
+            core_speeds: Vec::new(),
+            video_accel: 1.0,
+            screen_cap: Resolution::R480p,
+            mem: MemConfig::for_ram_mib(1024),
+            disk: DiskParams::default(),
+            cached_apps: (0, 0),
+        }
+    }
+
+    /// Overwrite every field with fleet device `idx` as drawn from `rng`:
+    /// afterwards the profile equals `fleet_device(idx, rng)` with the same
+    /// draws. The name, manufacturer and core list reuse their buffers.
+    pub fn refill_fleet(&mut self, idx: u32, rng: &mut SimRng) {
         const MAKERS: [&str; 12] = [
             "Samsung", "Xiaomi", "Oppo", "Vivo", "Huawei", "Nokia", "Infinix", "Tecno",
             "Realme", "Motorola", "OnePlus", "Google",
@@ -185,23 +211,24 @@ impl DeviceProfile {
             2049..=4096 => rng.uniform(0.7, 1.0),
             _ => rng.uniform(0.9, 1.3),
         };
-        DeviceProfile {
-            name: format!("{maker} fleet-{idx}"),
-            manufacturer: maker.to_string(),
-            ram_mib: ram,
-            core_speeds: vec![speed; n_cores],
-            video_accel: (1.1 - speed * 0.6).clamp(0.3, 1.0),
-            screen_cap: if ram <= 1024 {
-                Resolution::R480p
-            } else if ram <= 3072 {
-                Resolution::R1080p
-            } else {
-                Resolution::R1440p
-            },
-            mem,
-            disk: DiskParams::default(),
-            cached_apps: (n_cached, 30 + ram / 100),
-        }
+        self.name.clear();
+        write!(self.name, "{maker} fleet-{idx}").expect("writing to a String cannot fail");
+        self.manufacturer.clear();
+        self.manufacturer.push_str(maker);
+        self.ram_mib = ram;
+        self.core_speeds.clear();
+        self.core_speeds.resize(n_cores, speed);
+        self.video_accel = (1.1 - speed * 0.6).clamp(0.3, 1.0);
+        self.screen_cap = if ram <= 1024 {
+            Resolution::R480p
+        } else if ram <= 3072 {
+            Resolution::R1080p
+        } else {
+            Resolution::R1440p
+        };
+        self.mem = mem;
+        self.disk = DiskParams::default();
+        self.cached_apps = (n_cached, 30 + ram / 100);
     }
 }
 
@@ -257,6 +284,21 @@ mod tests {
             assert!(d.mem.watermark_low < d.mem.watermark_high);
             assert!(!d.core_speeds.is_empty());
             assert!(d.ram_mib >= 1024 && d.ram_mib <= 8192);
+        }
+    }
+
+    #[test]
+    fn refill_matches_a_fresh_fleet_device() {
+        let mut recycled = DeviceProfile::nexus6p();
+        for idx in [3u32, 70, 1_000_000] {
+            let mut a = SimRng::new(u64::from(idx));
+            let mut b = SimRng::new(u64::from(idx));
+            recycled.refill_fleet(idx, &mut a);
+            assert_eq!(
+                recycled.to_value(),
+                DeviceProfile::fleet_device(idx, &mut b).to_value()
+            );
+            assert_eq!(a.to_value(), b.to_value(), "same draws consumed");
         }
     }
 

@@ -173,26 +173,52 @@ const SCAN_BUCKETS: usize = 7;
 impl MemoryManager {
     /// Create a manager with all usable memory free.
     pub fn new(cfg: MemConfig) -> MemoryManager {
-        let free = cfg.usable();
-        let zram = Zram::new(cfg.zram_capacity, cfg.zram_ratio);
-        let window = PressureWindow::new(cfg.lmkd.window_us);
-        MemoryManager {
-            cfg,
+        // Placeholders only: `reset` sets every field.
+        let mut mm = MemoryManager {
+            cfg: cfg.clone(),
             procs: Vec::new(),
             free_slots: Vec::new(),
             slot_of: Vec::new(),
             next_pid: 0,
-            free,
-            zram,
+            free: Pages::ZERO,
+            zram: Zram::new(Pages::ZERO, 1.0),
             vm: VmStat::default(),
-            window,
+            window: PressureWindow::new(0),
             trim: TrimLevel::Normal,
             events: Vec::new(),
             record_events: true,
             kswapd_backoff_until: SimTime::ZERO,
             file_resident_total: Pages::ZERO,
             cached_count: 0,
-            scan_buckets: vec![Vec::new(); SCAN_BUCKETS],
+            scan_buckets: Vec::new(),
+        };
+        mm.reset(cfg);
+        mm
+    }
+
+    /// Return to exactly the state `MemoryManager::new(cfg)` builds: all
+    /// usable memory free, no process ever spawned, event recording on.
+    /// Every buffer keeps its capacity, so a recycled manager repopulates
+    /// without allocating.
+    pub fn reset(&mut self, cfg: MemConfig) {
+        self.free = cfg.usable();
+        self.zram = Zram::new(cfg.zram_capacity, cfg.zram_ratio);
+        self.window.reset(cfg.lmkd.window_us);
+        self.cfg = cfg;
+        self.procs.clear();
+        self.free_slots.clear();
+        self.slot_of.clear();
+        self.next_pid = 0;
+        self.vm = VmStat::default();
+        self.trim = TrimLevel::Normal;
+        self.events.clear();
+        self.record_events = true;
+        self.kswapd_backoff_until = SimTime::ZERO;
+        self.file_resident_total = Pages::ZERO;
+        self.cached_count = 0;
+        self.scan_buckets.resize_with(SCAN_BUCKETS, Vec::new);
+        for bucket in &mut self.scan_buckets {
+            bucket.clear();
         }
     }
 
@@ -1234,6 +1260,42 @@ mod tests {
         assert_eq!(m.proc(c).name, "c");
         m.check_counters();
         assert_eq!(m.accounted_pages(), m.config().usable());
+    }
+
+    #[test]
+    fn reset_after_churn_equals_new() {
+        let (mut m, fg) = populated();
+        let hog = m.spawn(t(0), "hog", ProcKind::Foreground);
+        m.set_floor(hog, Pages::from_mib(2048), Pages::ZERO);
+        m.set_floor(fg, Pages::from_mib(500), Pages::from_mib(120));
+        for step in 0..4000u64 {
+            let now = t(step * 10);
+            m.alloc_anon(now, hog, Pages::from_mib(2));
+            if m.kswapd_needed(now) {
+                m.kswapd_batch(now);
+            }
+            if let Some(victim) = m.lmkd_victim(now) {
+                m.kill(now, victim, KillSource::Lmkd);
+                m.spawn_sized(
+                    now,
+                    format!("respawn{step}"),
+                    ProcKind::Cached,
+                    Pages::from_mib(8),
+                    Pages::from_mib(4),
+                    Pages::from_mib(2),
+                    0.5,
+                );
+            }
+            if m.vmstat().lmkd_kills >= 3 {
+                break;
+            }
+        }
+        assert!(m.vmstat().lmkd_kills >= 3, "the churn must include kills");
+        m.set_record_events(false);
+
+        let cfg = MemConfig::for_ram_mib(2048);
+        m.reset(cfg.clone());
+        assert_eq!(m.to_value(), MemoryManager::new(cfg).to_value());
     }
 
     #[test]

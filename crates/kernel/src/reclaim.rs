@@ -95,12 +95,24 @@ pub struct PressureWindow {
 impl PressureWindow {
     /// A window covering `window_us`, split into ten buckets.
     pub fn new(window_us: u64) -> PressureWindow {
-        let n_buckets = 10;
-        PressureWindow {
-            bucket_us: (window_us / n_buckets as u64).max(1),
-            n_buckets,
-            buckets: Vec::with_capacity(n_buckets + 1),
-        }
+        let mut window = PressureWindow {
+            bucket_us: 0,
+            n_buckets: 0,
+            buckets: Vec::new(),
+        };
+        window.reset(window_us);
+        window
+    }
+
+    /// Empty the window and resize it to cover `window_us`, keeping the
+    /// bucket buffer: afterwards it equals `PressureWindow::new(window_us)`.
+    pub fn reset(&mut self, window_us: u64) {
+        self.n_buckets = 10;
+        self.bucket_us = (window_us / self.n_buckets as u64).max(1);
+        self.buckets.clear();
+        // `note` holds at most the current bucket plus the n−1 before it,
+        // and pushes before it evicts.
+        self.buckets.reserve_exact(self.n_buckets + 1);
     }
 
     fn bucket_of(&self, now: SimTime) -> u64 {

@@ -135,18 +135,18 @@ pub struct TopDevice {
 }
 
 impl TopDevice {
-    /// Selection order: highest pressure fraction first, ties to the lower
-    /// user index — exactly what a stable descending sort over devices in
-    /// index order produces.
-    fn beats(&self, other: &TopDevice) -> bool {
-        match self
-            .pressure_time_fraction
-            .partial_cmp(&other.pressure_time_fraction)
+    /// Selection order: whether a device of user `idx` with pressure
+    /// fraction `frac` ranks above `self` — highest pressure fraction
+    /// first, ties to the lower user index, exactly what a stable
+    /// descending sort over devices in index order produces.
+    fn beaten_by(&self, frac: f64, idx: u32) -> bool {
+        match frac
+            .partial_cmp(&self.pressure_time_fraction)
             .expect("NaN pressure fraction")
         {
             std::cmp::Ordering::Greater => true,
             std::cmp::Ordering::Less => false,
-            std::cmp::Ordering::Equal => self.idx < other.idx,
+            std::cmp::Ordering::Equal => idx < self.idx,
         }
     }
 }
@@ -529,15 +529,15 @@ impl FleetAggregate {
 
         self.sketches.add(&digest);
 
-        // Top-K candidacy.
-        let candidate = TopDevice {
+        // Top-K candidacy: the entry, with its name and Fig. 5 histograms,
+        // is only built for a device that makes the cut.
+        self.offer_top(digest.pressure_time_fraction, idx, || TopDevice {
             idx,
             name: obs.name.clone(),
             ram_mib: obs.ram_mib,
             pressure_time_fraction: digest.pressure_time_fraction,
             avail_by_state: obs.avail_by_state.clone(),
-        };
-        self.offer_top(candidate);
+        });
 
         // Fig. 6 ladder: the device lands in the band of the highest
         // threshold its pressure fraction strictly exceeds.
@@ -583,18 +583,20 @@ impl FleetAggregate {
         }
     }
 
-    fn offer_top(&mut self, candidate: TopDevice) {
+    /// Offer the device of user `idx` with pressure fraction `frac` to the
+    /// top-K list; `entry` builds its record only if it makes the cut.
+    fn offer_top(&mut self, frac: f64, idx: u32, entry: impl FnOnce() -> TopDevice) {
         if self.top.len() >= TOP_PRESSURE_K
-            && !candidate.beats(self.top.last().expect("non-empty"))
+            && !self.top.last().expect("non-empty").beaten_by(frac, idx)
         {
             return;
         }
         let pos = self
             .top
             .iter()
-            .position(|t| candidate.beats(t))
+            .position(|t| t.beaten_by(frac, idx))
             .unwrap_or(self.top.len());
-        self.top.insert(pos, candidate);
+        self.top.insert(pos, entry());
         self.top.truncate(TOP_PRESSURE_K);
     }
 
@@ -602,35 +604,22 @@ impl FleetAggregate {
     /// disjoint user-index sets; the merge is associative and
     /// order-insensitive, so shards can combine in any tree shape.
     pub fn merge(&mut self, other: &FleetAggregate) {
-        self.recruited += other.recruited;
-        self.kept += other.kept;
+        self.merge_totals(other);
         self.hours = merge_by_idx(
             std::mem::take(&mut self.hours),
-            &other.hours,
+            other.hours.iter().copied(),
             |&(i, _)| i,
             usize::MAX,
         );
         self.digests = merge_by_idx(
             std::mem::take(&mut self.digests),
-            &other.digests,
+            other.digests.iter().cloned(),
             |d| d.idx,
             DEVICE_DIGEST_CAP,
         );
-        for (hist, ohist) in self.fig1.iter_mut().zip(&other.fig1) {
-            for (c, oc) in hist.iter_mut().zip(ohist) {
-                *c += oc;
-            }
-        }
-        self.counters.add(&other.counters);
-        self.sketches.merge(&other.sketches);
         for cand in &other.top {
-            self.offer_top(cand.clone());
+            self.offer_top(cand.pressure_time_fraction, cand.idx, || cand.clone());
         }
-        for (band, oband) in self.bands.iter_mut().zip(&other.bands) {
-            band.merge(oband);
-        }
-        add_elementwise(&mut self.attr_rebuffer_us, &other.attr_rebuffer_us);
-        add_elementwise(&mut self.attr_drops, &other.attr_drops);
     }
 
     /// Consuming counterpart of [`FleetAggregate::merge`]: byte-identical
@@ -638,21 +627,30 @@ impl FleetAggregate {
     /// them. Shard fan-in merges dozens of owned aggregates; cloning every
     /// digest (two `String`s each) on every merge made fan-in quadratic in
     /// allocations, and this is what the sharded runners use instead.
-    pub fn absorb(&mut self, mut other: FleetAggregate) {
-        self.recruited += other.recruited;
-        self.kept += other.kept;
-        self.hours = merge_owned_by_idx(
+    pub fn absorb(&mut self, other: FleetAggregate) {
+        self.merge_totals(&other);
+        self.hours = merge_by_idx(
             std::mem::take(&mut self.hours),
-            std::mem::take(&mut other.hours),
+            other.hours,
             |&(i, _)| i,
             usize::MAX,
         );
-        self.digests = merge_owned_by_idx(
+        self.digests = merge_by_idx(
             std::mem::take(&mut self.digests),
-            std::mem::take(&mut other.digests),
+            other.digests,
             |d| d.idx,
             DEVICE_DIGEST_CAP,
         );
+        for cand in other.top {
+            self.offer_top(cand.pressure_time_fraction, cand.idx, || cand);
+        }
+    }
+
+    /// The part of a merge that adds counts, sketches and bands, which
+    /// [`FleetAggregate::merge`] and [`FleetAggregate::absorb`] share.
+    fn merge_totals(&mut self, other: &FleetAggregate) {
+        self.recruited += other.recruited;
+        self.kept += other.kept;
         for (hist, ohist) in self.fig1.iter_mut().zip(&other.fig1) {
             for (c, oc) in hist.iter_mut().zip(ohist) {
                 *c += oc;
@@ -660,9 +658,6 @@ impl FleetAggregate {
         }
         self.counters.add(&other.counters);
         self.sketches.merge(&other.sketches);
-        for cand in std::mem::take(&mut other.top) {
-            self.offer_top(cand);
-        }
         for (band, oband) in self.bands.iter_mut().zip(&other.bands) {
             band.merge(oband);
         }
@@ -797,44 +792,26 @@ impl Deserialize for FleetAggregate {
 /// the global lowest-`cap` set is a subset of each side's lowest-`cap`
 /// set, so capping per shard first loses nothing — which is what makes
 /// the merge associative.
-fn merge_by_idx<T: Clone>(
-    mine: Vec<T>,
-    theirs: &[T],
+fn merge_by_idx<T>(
+    mut mine: Vec<T>,
+    theirs: impl IntoIterator<Item = T>,
     key: impl Fn(&T) -> u32,
     cap: usize,
 ) -> Vec<T> {
-    let mut out = Vec::with_capacity((mine.len() + theirs.len()).min(cap));
-    let mut a = mine.into_iter().peekable();
-    let mut b = theirs.iter().cloned().peekable();
-    while out.len() < cap {
-        match (a.peek(), b.peek()) {
-            (Some(x), Some(y)) => {
-                debug_assert_ne!(key(x), key(y), "aggregates must cover disjoint users");
-                if key(x) < key(y) {
-                    out.push(a.next().unwrap());
-                } else {
-                    out.push(b.next().unwrap());
-                }
-            }
-            (Some(_), None) => out.push(a.next().unwrap()),
-            (None, Some(_)) => out.push(b.next().unwrap()),
-            (None, None) => break,
-        }
-    }
-    out
-}
-
-/// [`merge_by_idx`] over two owned lists: the same walk, but elements move
-/// instead of cloning (no allocation per element).
-fn merge_owned_by_idx<T>(
-    mine: Vec<T>,
-    theirs: Vec<T>,
-    key: impl Fn(&T) -> u32,
-    cap: usize,
-) -> Vec<T> {
-    let mut out = Vec::with_capacity((mine.len() + theirs.len()).min(cap));
-    let mut a = mine.into_iter().peekable();
     let mut b = theirs.into_iter().peekable();
+    // Contiguous shards absorbed in order: every incoming index follows
+    // the last one held, so the merge is an append in place.
+    let appends = match (mine.last(), b.peek()) {
+        (Some(x), Some(y)) => key(x) < key(y),
+        _ => true,
+    };
+    if appends {
+        mine.extend(b.take(cap.saturating_sub(mine.len())));
+        mine.truncate(cap);
+        return mine;
+    }
+    let mut out = Vec::with_capacity((mine.len() + b.size_hint().0).min(cap));
+    let mut a = mine.into_iter().peekable();
     while out.len() < cap {
         match (a.peek(), b.peek()) {
             (Some(x), Some(y)) => {
@@ -940,7 +917,7 @@ mod tests {
             avail_by_state: Vec::new(),
         };
         for (idx, frac) in [(3, 0.2), (1, 0.5), (2, 0.5), (0, 0.1)] {
-            agg.offer_top(dev(idx, frac));
+            agg.offer_top(frac, idx, || dev(idx, frac));
         }
         let order: Vec<u32> = agg.top.iter().map(|t| t.idx).collect();
         assert_eq!(order, vec![1, 2, 3, 0], "ties keep the lower index first");

@@ -129,10 +129,11 @@ impl UserStream {
 
     /// A fresh observation for this user's device and pattern.
     pub fn observation(&self) -> DeviceObservation {
+        let device = &self.user.device;
         DeviceObservation::new(
-            self.user.device.name.clone(),
-            self.user.device.manufacturer.clone(),
-            self.user.device.ram_mib,
+            &device.name,
+            &device.manufacturer,
+            device.ram_mib,
             self.user.pattern,
         )
     }
@@ -145,17 +146,21 @@ impl UserStream {
 /// byte-identical to the batch path.
 pub fn start_user(cfg: &FleetConfig, i: u32) -> UserStream {
     let root = SimRng::new(cfg.seed);
-    let mut hours_rng = root.split_u32("hours-", i);
-    // Observation length: heavy-tailed, 1–18 days at paper scale.
-    let hours = hours_rng
-        .lognormal(cfg.median_hours, 0.9)
-        .clamp(cfg.hours_lo, cfg.hours_hi);
+    let hours = observation_hours(cfg, &root, i);
     let user = FleetUser::new(i, &root);
     UserStream {
         idx: i,
         user,
         hours,
     }
+}
+
+/// User `i`'s observation length in hours, drawn from its own `hours-{i}`
+/// stream of the fleet's root RNG: heavy-tailed, 1–18 days at paper scale.
+fn observation_hours(cfg: &FleetConfig, root: &SimRng, i: u32) -> f64 {
+    root.split_u32("hours-", i)
+        .lognormal(cfg.median_hours, 0.9)
+        .clamp(cfg.hours_lo, cfg.hours_hi)
 }
 
 /// How many users [`simulate_range_from`] steps in lockstep per chunk.
@@ -197,6 +202,12 @@ pub fn simulate_range_from(
 /// `MemoryManager` per user. Each user's draws still come only from its own
 /// split RNG streams and its own memory manager, so the per-user sample
 /// sequence — and therefore every fold — is byte-identical at any `chunk`.
+///
+/// One batch and one list of observations serve every chunk: each chunk
+/// renews the users and resets the observations in place
+/// ([`FleetBatch::renew`], [`DeviceObservation::reset`]), which builds
+/// exactly what [`start_user`] and [`UserStream::observation`] would
+/// without allocating them again.
 pub fn simulate_range_chunked(
     cfg: &FleetConfig,
     mut agg: FleetAggregate,
@@ -205,15 +216,32 @@ pub fn simulate_range_chunked(
     mut after_each: impl FnMut(u32, &FleetAggregate),
 ) -> FleetAggregate {
     let chunk = chunk.max(1);
+    let root = SimRng::new(cfg.seed);
+    let mut batch = FleetBatch::new(Vec::new());
+    let mut observations: Vec<DeviceObservation> = Vec::new();
+    let mut hours: Vec<f64> = Vec::new();
+    let mut secs: Vec<u64> = Vec::new();
     let mut start = users.start;
     while start < users.end {
         let end = users.end.min(start.saturating_add(chunk));
-        let streams: Vec<UserStream> = (start..end).map(|i| start_user(cfg, i)).collect();
-        let hours: Vec<f64> = streams.iter().map(|st| st.hours).collect();
-        let secs: Vec<u64> = streams.iter().map(|st| st.seconds()).collect();
-        let mut observations: Vec<DeviceObservation> =
-            streams.iter().map(|st| st.observation()).collect();
-        let mut batch = FleetBatch::new(streams.into_iter().map(|st| st.user).collect());
+        batch.renew(start..end, &root);
+        hours.clear();
+        hours.extend((start..end).map(|i| observation_hours(cfg, &root, i)));
+        secs.clear();
+        secs.extend(hours.iter().map(|&h| observation_seconds(h)));
+        observations.truncate(batch.len());
+        for (j, user) in batch.users().iter().enumerate() {
+            let d = &user.device;
+            match observations.get_mut(j) {
+                Some(obs) => obs.reset(&d.name, &d.manufacturer, d.ram_mib, user.pattern),
+                None => observations.push(DeviceObservation::new(
+                    &d.name,
+                    &d.manufacturer,
+                    d.ram_mib,
+                    user.pattern,
+                )),
+            }
+        }
         let max_secs = secs.iter().copied().max().unwrap_or(0);
         for s in 0..max_secs {
             let now = SimTime::from_secs(s);
@@ -474,23 +502,33 @@ mod tests {
 
     #[test]
     fn chunk_size_does_not_change_the_aggregate() {
-        // The lockstep batch is a pure layout change: any chunk size must
-        // fold to the same bytes as per-user simulation (chunk 1).
-        let cfg = small_cfg();
-        let serial_json = serde_json::to_string(&small_fleet().aggregate).unwrap();
-        for chunk in [1u32, 3, 64] {
-            let agg = simulate_range_chunked(
-                &cfg,
-                FleetAggregate::new(),
-                0..cfg.n_users,
-                chunk,
-                |_, _| {},
-            );
-            assert_eq!(
-                serde_json::to_string(&agg).unwrap(),
-                serial_json,
-                "chunk {chunk} must fold byte-identically"
-            );
+        // The lockstep batch is a pure layout change, and renewing users
+        // and observations across chunks a pure buffer reuse: any chunk
+        // size must fold to the same bytes as per-user simulation. The
+        // million-user shape's 85 users end in a partial chunk at 3, 16
+        // and 64.
+        let million = FleetConfig::scaled(1000, 11, 0.008, 0.0008);
+        for (cfg, users) in [(small_cfg(), 0..8u32), (million, 5..90)] {
+            let mut reference = FleetAggregate::new();
+            for i in users.clone() {
+                let (obs, hours) = simulate_user(&cfg, i);
+                reference.fold(&cfg, i, &obs, hours);
+            }
+            let reference = serde_json::to_string(&reference).unwrap();
+            for chunk in [1u32, 3, BATCH_CHUNK, 64] {
+                let agg = simulate_range_chunked(
+                    &cfg,
+                    FleetAggregate::new(),
+                    users.clone(),
+                    chunk,
+                    |_, _| {},
+                );
+                assert_eq!(
+                    serde_json::to_string(&agg).unwrap(),
+                    reference,
+                    "chunk {chunk} over {users:?} must fold byte-identically"
+                );
+            }
         }
     }
 

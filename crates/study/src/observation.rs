@@ -22,12 +22,29 @@ pub struct Hist {
 impl Hist {
     /// Create a histogram over `[lo, hi)` with `bins` buckets.
     pub fn new(lo: f64, hi: f64, bins: usize) -> Hist {
-        assert!(bins > 0 && hi > lo);
+        let mut hist = Hist::blank();
+        hist.reset(lo, hi, bins);
+        hist
+    }
+
+    /// A histogram without buckets, for [`Hist::reset`] to lay out.
+    fn blank() -> Hist {
         Hist {
-            lo,
-            hi,
-            counts: vec![0; bins],
+            lo: 0.0,
+            hi: 0.0,
+            counts: Vec::new(),
         }
+    }
+
+    /// Empty the histogram and lay it out over `[lo, hi)` with `bins`
+    /// buckets, keeping the bucket buffer: afterwards it equals
+    /// `Hist::new(lo, hi, bins)`.
+    pub fn reset(&mut self, lo: f64, hi: f64, bins: usize) {
+        assert!(bins > 0 && hi > lo);
+        self.lo = lo;
+        self.hi = hi;
+        self.counts.clear();
+        self.counts.resize(bins, 0);
     }
 
     /// Add one sample (clamped into the edge buckets).
@@ -142,30 +159,59 @@ pub struct DeviceObservation {
 impl DeviceObservation {
     /// Start observing a device.
     pub fn new(
-        name: impl Into<String>,
-        manufacturer: impl Into<String>,
+        name: &str,
+        manufacturer: &str,
         ram_mib: u64,
         pattern: UsagePattern,
     ) -> DeviceObservation {
-        DeviceObservation {
-            name: name.into(),
-            manufacturer: manufacturer.into(),
+        // Placeholders only: `reset` sets every field.
+        let mut obs = DeviceObservation {
+            name: String::new(),
+            manufacturer: String::new(),
             ram_mib,
             pattern,
             total_hours: 0.0,
             interactive_hours: 0.0,
-            util_hist: Hist::new(0.0, 100.0, 200),
+            util_hist: Hist::blank(),
             signals: [0; 4],
             state_seconds: [0; 4],
-            avail_by_state: (0..4)
-                .map(|_| Hist::new(0.0, ram_mib as f64, 128))
-                .collect(),
+            avail_by_state: Vec::new(),
             transitions: [[0; 4]; 4],
             dwells: Default::default(),
             last_level: TrimLevel::Normal,
             dwell_started_s: 0,
             samples_seen: 0,
+        };
+        obs.reset(name, manufacturer, ram_mib, pattern);
+        obs
+    }
+
+    /// Start observing another device in this observation's buffers:
+    /// afterwards it equals `DeviceObservation::new` with the same
+    /// arguments, and a warm observation resets without allocating.
+    pub fn reset(&mut self, name: &str, manufacturer: &str, ram_mib: u64, pattern: UsagePattern) {
+        self.name.clear();
+        self.name.push_str(name);
+        self.manufacturer.clear();
+        self.manufacturer.push_str(manufacturer);
+        self.ram_mib = ram_mib;
+        self.pattern = pattern;
+        self.total_hours = 0.0;
+        self.interactive_hours = 0.0;
+        self.util_hist.reset(0.0, 100.0, 200);
+        self.signals = [0; 4];
+        self.state_seconds = [0; 4];
+        self.avail_by_state.resize_with(4, Hist::blank);
+        for hist in &mut self.avail_by_state {
+            hist.reset(0.0, ram_mib as f64, 128);
         }
+        self.transitions = [[0; 4]; 4];
+        for dwells in &mut self.dwells {
+            dwells.clear();
+        }
+        self.last_level = TrimLevel::Normal;
+        self.dwell_started_s = 0;
+        self.samples_seen = 0;
     }
 
     /// Fold in one 1 Hz sample.
@@ -324,6 +370,25 @@ mod tests {
         assert_eq!(obs.dwell_percentile(TrimLevel::Moderate, 50.0), 5.0);
         assert_eq!(obs.state_seconds[TrimLevel::Moderate.severity()], 5);
         assert!(obs.pressure_time_fraction() > 0.3);
+    }
+
+    #[test]
+    fn reset_after_recording_equals_new() {
+        let mut obs = DeviceObservation::new("Xiaomi fleet-12", "Xiaomi", 4096, pattern());
+        for (t, trim) in [TrimLevel::Normal, TrimLevel::Moderate, TrimLevel::Critical]
+            .into_iter()
+            .cycle()
+            .take(90)
+            .enumerate()
+        {
+            obs.record(&sample(t as u64, trim, 80.0, t % 3 == 0));
+        }
+        let other = UsagePattern::sample(&mut SimRng::new(2));
+        obs.reset("d", "X", 1024, other);
+        assert_eq!(
+            serde_json::to_string(&obs).unwrap(),
+            serde_json::to_string(&DeviceObservation::new("d", "X", 1024, other)).unwrap()
+        );
     }
 
     #[test]

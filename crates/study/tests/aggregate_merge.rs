@@ -29,12 +29,7 @@ fn synth_device(idx: u32, bytes: &[u8]) -> (DeviceObservation, f64) {
         interactive_frac: 0.2 + (knob(5) % 60.0) / 100.0,
     };
     let ram_mib = 512 * (1 + bytes[0] as u64 % 6);
-    let mut obs = DeviceObservation::new(
-        format!("synth-{idx}"),
-        "proptest",
-        ram_mib,
-        pattern,
-    );
+    let mut obs = DeviceObservation::new(&format!("synth-{idx}"), "proptest", ram_mib, pattern);
     let levels = [
         TrimLevel::Normal,
         TrimLevel::Moderate,

@@ -179,9 +179,9 @@ impl ServiceState {
     /// Apply one report. Returns `true` when the report completed a device
     /// (an `End` that folded). Protocol violations — samples for unknown
     /// devices, empty runs, samples past a device's declared observation,
-    /// a `Begin` declaring more than the fleet's `hours_hi`, duplicate
-    /// `Begin`s, re-folding a folded device — come back as `Err` and count
-    /// as parse failures at the connection layer.
+    /// a `Begin` declaring more than the fleet's `hours_hi` or no RAM,
+    /// duplicate `Begin`s, re-folding a folded device — come back as `Err`
+    /// and count as parse failures at the connection layer.
     pub fn apply(&self, report: &DeviceReport) -> Result<bool, String> {
         match report {
             DeviceReport::Begin {
@@ -201,6 +201,12 @@ impl ServiceState {
                         self.cfg.hours_hi
                     ));
                 }
+                // An observation bins available memory over `0..ram_mib`,
+                // which must not be empty. Rejected before the shard lock,
+                // so a bad `Begin` cannot poison the shard.
+                if *ram_mib == 0 {
+                    return Err(format!("device {device} declares 0 MiB of RAM"));
+                }
                 let mut shard = self.shard(*device).lock().unwrap();
                 if shard.folded(*device) {
                     return Err(format!("device {device} already folded"));
@@ -211,12 +217,7 @@ impl ServiceState {
                 shard.active.insert(
                     *device,
                     Pending {
-                        obs: DeviceObservation::new(
-                            name.clone(),
-                            manufacturer.clone(),
-                            *ram_mib,
-                            *pattern,
-                        ),
+                        obs: DeviceObservation::new(name, manufacturer, *ram_mib, *pattern),
                         hours: *hours,
                         remaining: observation_seconds(*hours),
                     },

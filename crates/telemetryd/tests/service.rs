@@ -183,6 +183,17 @@ fn malformed_and_protocol_violating_lines_count_as_parse_failures() {
     // The over-long `Begin` and the run it would have allowed.
     writeln!(w, "{}", begins[1]).expect("write");
     writeln!(w, "{}", run(1, u32::MAX)).expect("write");
+    // A `Begin` declaring no RAM: its observation could not be built, and
+    // the shard must stay usable for device 0 below.
+    let no_ram = json(&DeviceReport::Begin {
+        device: 2,
+        name: st.user.device.name.clone(),
+        manufacturer: st.user.device.manufacturer.clone(),
+        ram_mib: 0,
+        pattern: st.user.pattern,
+        hours: 0.01,
+    });
+    writeln!(w, "{no_ram}").expect("write");
     // Frames that break device 0's declared observation: an empty run,
     // one so long it would pin the worker for minutes, and, once its 36
     // seconds are in, a one-second `Run` and a `Sample` past them.
@@ -207,11 +218,11 @@ fn malformed_and_protocol_violating_lines_count_as_parse_failures() {
         serde_json::from_str(ack.trim_end()).expect("ack JSON");
     assert_eq!(ack.accepted, 3, "Begin, the 36-second run and End");
     assert_eq!(ack.folded, 1);
-    assert_eq!(ack.parse_failures, 10);
+    assert_eq!(ack.parse_failures, 11);
 
     let (_, body) = http_get(addr, "/query/headline");
     let headline: Headline = serde_json::from_str(&body).expect("headline JSON");
-    assert_eq!(headline.parse_failures_total, 10);
+    assert_eq!(headline.parse_failures_total, 11);
     assert_eq!(headline.recruited, 1);
     let served = server.shutdown();
     assert_eq!(served.hours, vec![(0, 0.01)]);

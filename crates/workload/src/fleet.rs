@@ -21,10 +21,11 @@ use mvqoe_kernel::{MemoryManager, Pages, ProcKind, ProcName, ProcessId, TrimLeve
 use mvqoe_metrics::selfprof;
 use mvqoe_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Self-reported usage frequencies on the survey's 1–5 scale, plus derived
 /// behavioural rates.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct UsagePattern {
     /// "How often do you play games?" (1–5).
     pub games: f64,
@@ -166,43 +167,73 @@ fn pre_app_name(i: u32) -> ProcName {
 impl FleetUser {
     /// Create a user with a generated device and sampled pattern.
     pub fn new(idx: u32, root: &SimRng) -> FleetUser {
-        let mut rng = root.split_u32("fleet-user-", idx);
-        let device = DeviceProfile::fleet_device(idx, &mut rng);
-        let pattern = UsagePattern::sample(&mut rng);
-        let mut mm = MemoryManager::new(device.mem.clone());
+        // Placeholders only: `renew` draws and sets every field.
+        let device = DeviceProfile::unfilled();
+        let mut user = FleetUser {
+            mm: MemoryManager::new(device.mem.clone()),
+            device,
+            pattern: UsagePattern::default(),
+            rng: root.clone(),
+            foreground: None,
+            standing: Vec::new(),
+            interactive: false,
+            toggle_at: SimTime::ZERO,
+            launch_at: SimTime::ZERO,
+            kills_observed: 0,
+            coarse_out: CoarseOutcome::default(),
+            cached_scratch: Vec::new(),
+            standing_due: SimTime::MAX,
+            standing_dirty: false,
+        };
+        user.renew(idx, root);
+        user
+    }
+
+    /// Turn this user into user `idx` of the fleet rooted at `root`. Every
+    /// draw and every field equals what `FleetUser::new(idx, root)` builds,
+    /// but the device strings, the memory manager's arena and the scratch
+    /// lists keep their buffers, so a warm user renews without allocating.
+    pub fn renew(&mut self, idx: u32, root: &SimRng) {
+        self.rng = root.split_u32("fleet-user-", idx);
+        self.device.refill_fleet(idx, &mut self.rng);
+        self.pattern = UsagePattern::sample(&mut self.rng);
+        self.mm.reset(self.device.mem.clone());
         // Nothing ever drains a fleet user's event log; with recording off
         // the kill path also skips materializing victim names, keeping the
         // warm 1 Hz loop allocation-free.
-        mm.set_record_events(false);
+        self.mm.set_record_events(false);
+        let (n_cached, mib_each) = self.device.cached_apps;
+        let ram_mib = self.device.ram_mib;
         let now = SimTime::ZERO;
         // Size the arena for the standing population up front so the spawn
         // loop below never reallocates it.
-        mm.reserve_spawns(device.cached_apps.0 as usize + 2);
+        self.mm.reserve_spawns(n_cached as usize + 2);
         // Standing population, as in Machine::new.
-        let (sys, _) = mm.spawn_sized(
+        let (sys, _) = self.mm.spawn_sized(
             now,
             "system_server",
             ProcKind::System,
-            Pages::from_mib(110 + device.ram_mib / 20),
+            Pages::from_mib(110 + ram_mib / 20),
             Pages::from_mib(90),
             Pages::from_mib(70),
             0.3,
         );
-        mm.set_floor(sys, Pages::from_mib(80), Pages::from_mib(40));
-        mm.spawn_sized(
+        self.mm
+            .set_floor(sys, Pages::from_mib(80), Pages::from_mib(40));
+        self.mm.spawn_sized(
             now,
             "launcher",
             ProcKind::Persistent,
-            Pages::from_mib(60 + device.ram_mib / 40),
+            Pages::from_mib(60 + ram_mib / 40),
             Pages::from_mib(50),
             Pages::from_mib(35),
             0.4,
         );
-        let (n_cached, mib_each) = device.cached_apps;
-        let mut standing = Vec::with_capacity(n_cached as usize);
+        self.standing.clear();
+        self.standing.reserve(n_cached as usize);
         for i in 0..n_cached {
-            let size = (mib_each as f64 * rng.uniform(0.6, 1.5)) as u64;
-            let (pid, _) = mm.spawn_sized(
+            let size = (mib_each as f64 * self.rng.uniform(0.6, 1.5)) as u64;
+            let (pid, _) = self.mm.spawn_sized(
                 now,
                 pre_app_name(i),
                 ProcKind::Cached,
@@ -211,29 +242,22 @@ impl FleetUser {
                 Pages::from_mib(size / 3),
                 0.5,
             );
-            standing.push(StandingApp {
+            self.standing.push(StandingApp {
                 size_mib: size,
                 pid,
                 respawn_at: None,
             });
         }
-        mm.drain_events();
-        FleetUser {
-            device,
-            pattern,
-            mm,
-            rng,
-            foreground: None,
-            standing,
-            interactive: false,
-            toggle_at: SimTime::ZERO,
-            launch_at: SimTime::ZERO,
-            kills_observed: 0,
-            coarse_out: CoarseOutcome::default(),
-            cached_scratch: Vec::with_capacity(n_cached as usize + 16),
-            standing_due: SimTime::MAX,
-            standing_dirty: false,
-        }
+        self.foreground = None;
+        self.interactive = false;
+        self.toggle_at = SimTime::ZERO;
+        self.launch_at = SimTime::ZERO;
+        self.kills_observed = 0;
+        self.coarse_out.clear();
+        self.cached_scratch.clear();
+        self.cached_scratch.reserve(n_cached as usize + 16);
+        self.standing_due = SimTime::MAX;
+        self.standing_dirty = false;
     }
 
     /// The memory manager (for assertions and ad-hoc inspection).
@@ -562,32 +586,61 @@ pub struct FleetBatch {
 impl FleetBatch {
     /// Wrap `users` for batched stepping.
     pub fn new(users: Vec<FleetUser>) -> FleetBatch {
-        let n = users.len();
         let mut batch = FleetBatch {
             users,
-            toggle_at: Vec::with_capacity(n),
-            interactive: Vec::with_capacity(n),
-            standing_due: Vec::with_capacity(n),
-            standing_dirty: Vec::with_capacity(n),
-            calm: Vec::with_capacity(n),
-            available_mib: Vec::with_capacity(n),
-            utilization_pct: Vec::with_capacity(n),
-            trim: Vec::with_capacity(n),
-            n_services: Vec::with_capacity(n),
+            toggle_at: Vec::new(),
+            interactive: Vec::new(),
+            standing_due: Vec::new(),
+            standing_dirty: Vec::new(),
+            calm: Vec::new(),
+            available_mib: Vec::new(),
+            utilization_pct: Vec::new(),
+            trim: Vec::new(),
+            n_services: Vec::new(),
         };
-        for i in 0..n {
-            let u = &batch.users[i];
-            batch.toggle_at.push(u.toggle_at);
-            batch.interactive.push(u.interactive);
-            batch.standing_due.push(u.standing_due);
-            batch.standing_dirty.push(u.standing_dirty);
-            batch.calm.push(u.mm.free() >= u.mm.config().watermark_high);
-            batch.available_mib.push(u.mm.available().mib());
-            batch.utilization_pct.push(u.mm.utilization_pct());
-            batch.trim.push(u.mm.trim_level());
-            batch.n_services.push(u.mm.cached_proc_count());
-        }
+        batch.mirror_all();
         batch
+    }
+
+    /// Make the batch hold users `idxs` of the fleet rooted at `root`,
+    /// exactly as `FleetBatch::new` over fresh [`FleetUser::new`]s would.
+    /// Users already held are renewed in place ([`FleetUser::renew`]),
+    /// missing ones are built and surplus ones dropped, so the batch also
+    /// shrinks to a shard's partial last chunk.
+    pub fn renew(&mut self, idxs: Range<u32>, root: &SimRng) {
+        self.users.truncate(idxs.len());
+        for (j, idx) in idxs.enumerate() {
+            match self.users.get_mut(j) {
+                Some(user) => user.renew(idx, root),
+                None => self.users.push(FleetUser::new(idx, root)),
+            }
+        }
+        self.mirror_all();
+    }
+
+    /// Size every lane to the users held and mirror each user's state in.
+    fn mirror_all(&mut self) {
+        let n = self.users.len();
+        self.toggle_at.resize(n, SimTime::ZERO);
+        self.interactive.resize(n, false);
+        self.standing_due.resize(n, SimTime::ZERO);
+        self.standing_dirty.resize(n, false);
+        self.calm.resize(n, false);
+        self.available_mib.resize(n, 0.0);
+        self.utilization_pct.resize(n, 0.0);
+        self.trim.resize(n, TrimLevel::Normal);
+        self.n_services.resize(n, 0);
+        for (i, u) in self.users.iter().enumerate() {
+            self.toggle_at[i] = u.toggle_at;
+            self.interactive[i] = u.interactive;
+            self.standing_due[i] = u.standing_due;
+            self.standing_dirty[i] = u.standing_dirty;
+            self.calm[i] = u.mm.free() >= u.mm.config().watermark_high;
+            self.available_mib[i] = u.mm.available().mib();
+            self.utilization_pct[i] = u.mm.utilization_pct();
+            self.trim[i] = u.mm.trim_level();
+            self.n_services[i] = u.mm.cached_proc_count();
+        }
     }
 
     /// Number of users in the batch.
@@ -803,6 +856,77 @@ mod tests {
             assert_eq!(u.kills_observed(), batch.user(i).kills_observed());
             assert_eq!(u.mm().accounted_pages(), batch.user(i).mm().accounted_pages());
         }
+    }
+
+    /// A sample's fields as one comparable value.
+    fn fields(s: &FleetSample) -> (SimTime, f64, f64, TrimLevel, bool, u32) {
+        (
+            s.at,
+            s.available_mib,
+            s.utilization_pct,
+            s.trim,
+            s.interactive,
+            s.n_services,
+        )
+    }
+
+    #[test]
+    fn renewed_user_steps_like_a_new_one() {
+        let root = SimRng::new(41);
+        // A user that has lived a working day, lmkd kills and respawns
+        // included, so its arena, free list and scratch are all dirty.
+        let mut user = (0..16)
+            .map(|i| {
+                let mut u = FleetUser::new(i, &root);
+                for s in 0..(8 * 3600u64) {
+                    u.step_1s(SimTime::from_secs(s));
+                }
+                u
+            })
+            .find(|u| u.kills_observed() > 0)
+            .expect("some user sees lmkd kills in 8 h");
+        // Renewed twice: the second time after two hours as its new self.
+        for idx in [29u32, 3] {
+            user.renew(idx, &root);
+            let mut fresh = FleetUser::new(idx, &root);
+            assert_eq!(user.device.to_value(), fresh.device.to_value());
+            for s in 0..(2 * 3600u64) {
+                let now = SimTime::from_secs(s);
+                let (a, b) = (fresh.step_1s(now), user.step_1s(now));
+                assert_eq!(fields(&a), fields(&b), "user {idx} diverged at {now}");
+            }
+            assert_eq!(fresh.kills_observed(), user.kills_observed());
+            assert_eq!(fresh.mm().to_value(), user.mm().to_value());
+        }
+    }
+
+    #[test]
+    fn batch_renew_matches_a_new_batch_and_shrinks() {
+        let root = SimRng::new(41);
+        let step_all = |batch: &mut FleetBatch, secs: std::ops::Range<u64>| {
+            for s in secs {
+                for j in 0..batch.len() {
+                    batch.step_1s(j, SimTime::from_secs(s));
+                }
+            }
+        };
+        let mut batch = FleetBatch::new((0..6).map(|i| FleetUser::new(i, &root)).collect());
+        step_all(&mut batch, 0..3600);
+        // A partial last chunk: three users where six were.
+        batch.renew(6..9, &root);
+        assert_eq!(batch.len(), 3);
+        let mut fresh = FleetBatch::new((6..9).map(|i| FleetUser::new(i, &root)).collect());
+        for s in 0..(3 * 3600u64) {
+            let now = SimTime::from_secs(s);
+            for j in 0..3 {
+                let (a, b) = (fresh.step_1s(j, now), batch.step_1s(j, now));
+                assert_eq!(fields(&a), fields(&b), "user {j} diverged at {now}");
+            }
+        }
+        // And it grows back.
+        batch.renew(9..17, &root);
+        assert_eq!(batch.len(), 8);
+        step_all(&mut batch, 0..60);
     }
 
     #[test]
