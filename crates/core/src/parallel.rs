@@ -19,7 +19,7 @@ use crate::session::{run_session_with, SessionConfig};
 use mvqoe_abr::Abr;
 use mvqoe_metrics::{MetricsSnapshot, Telemetry};
 use mvqoe_sim::derive_seed;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -28,7 +28,7 @@ use std::time::Instant;
 /// What one worker thread did during a parallel run: how many jobs it
 /// claimed and how long it spent inside them. Never affects results — this
 /// is sidecar metadata for the `meta.json` the experiment runner writes.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct WorkerStat {
     /// Jobs (cells × repetitions, or map items) this worker executed.
     pub jobs: u64,

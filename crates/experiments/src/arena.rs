@@ -1,4 +1,4 @@
-//! `exp-arena`: the joint network + memory pressure competitive ABR arena.
+//! `mvqoe arena`: the joint network + memory pressure competitive ABR arena.
 //!
 //! The paper provisions a dedicated LAN so that memory pressure is the
 //! *only* cause of QoE collapse (§4); this experiment explores the regime
@@ -120,6 +120,19 @@ pub struct ArenaRun {
     pub qoe: f64,
 }
 
+impl ArenaRun {
+    /// This run's paired difference against `base`.
+    fn delta_from(&self, base: &ArenaRun) -> ForkDelta {
+        ForkDelta {
+            rebuffer_s: self.rebuffer_s - base.rebuffer_s,
+            drop_pct: self.drop_pct - base.drop_pct,
+            switches: self.switches as i64 - base.switches as i64,
+            crashed: i64::from(self.crashed) - i64::from(base.crashed),
+            qoe: self.qoe - base.qoe,
+        }
+    }
+}
+
 fn score(out: &SessionOutcome) -> ArenaRun {
     let rebuffer_s = out.stats.rebuffer_time.as_secs_f64();
     let drop_pct = out.stats.drop_pct();
@@ -190,8 +203,15 @@ pub struct RegimeCell {
     pub hybrid_beats_parents: bool,
 }
 
+impl RegimeCell {
+    /// The regime's `device/network/memory` label, as `hybrid_wins` lists it.
+    pub fn label(&self) -> String {
+        format!("{}/{}/{}", self.device, self.network, self.memory)
+    }
+}
+
 /// Paired QoE difference of one fork branch against the baseline branch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ForkDelta {
     /// Rebuffer-time difference (s).
     pub rebuffer_s: f64,
@@ -235,7 +255,7 @@ pub struct ForkPair {
     pub branches: Vec<ForkBranch>,
 }
 
-/// The `exp-arena` artifact.
+/// The `mvqoe arena` artifact.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Arena {
     /// Devices raced.
@@ -326,13 +346,7 @@ fn run_fork(scale: &Scale, job: &ForkJob) -> ForkPair {
         .map(|(policy, &run)| ForkBranch {
             policy: policy.to_string(),
             run,
-            delta: ForkDelta {
-                rebuffer_s: run.rebuffer_s - base.rebuffer_s,
-                drop_pct: run.drop_pct - base.drop_pct,
-                switches: run.switches as i64 - base.switches as i64,
-                crashed: i64::from(run.crashed) - i64::from(base.crashed),
-                qoe: run.qoe - base.qoe,
-            },
+            delta: run.delta_from(&base),
         })
         .collect();
     ForkPair {
@@ -411,18 +425,18 @@ pub fn run(scale: &Scale) -> Arena {
         let qoe_of = |name: &str| rows.iter().find(|r| r.policy == name).expect("row").qoe;
         let hybrid_beats_parents =
             qoe_of("hybrid") > qoe_of("memory-aware") && qoe_of("hybrid") > qoe_of("mpc");
-        let label = format!("{}/{}/{}", device.name, network, memory.label());
-        if hybrid_beats_parents {
-            hybrid_wins.push(label);
-        }
-        regimes.push(RegimeCell {
+        let cell = RegimeCell {
             device: device.name.to_string(),
             network: network.to_string(),
             memory: memory.label(),
             rows,
             winner,
             hybrid_beats_parents,
-        });
+        };
+        if hybrid_beats_parents {
+            hybrid_wins.push(cell.label());
+        }
+        regimes.push(cell);
     }
 
     // ---- paired forks in the joint-pressure showcase cells -------------
@@ -459,6 +473,99 @@ pub fn run(scale: &Scale) -> Arena {
 }
 
 impl Arena {
+    /// Check the artifact: one regime per declared grid point, each with a
+    /// row per declared policy, a winner holding the best QoE and a
+    /// `hybrid_beats_parents` flag that agrees with the QoE column;
+    /// `hybrid_wins` lists exactly the flagged regimes; and every fork
+    /// carries one branch per policy whose delta against the first (so the
+    /// baseline's own, zero) reproduces from the absolute values. Returns
+    /// a one-line summary.
+    pub fn validate(&self) -> Result<String, String> {
+        for (key, list) in [
+            ("devices", &self.devices),
+            ("policies", &self.policies),
+            ("networks", &self.networks),
+            ("memories", &self.memories),
+        ] {
+            if list.is_empty() {
+                return Err(format!("{key} is empty"));
+            }
+        }
+        let grid = self.devices.len() * self.networks.len() * self.memories.len();
+        if self.regimes.len() != grid {
+            return Err(format!(
+                "{} regime(s) but the declared grid has {grid}",
+                self.regimes.len()
+            ));
+        }
+        let mut flagged = Vec::new();
+        for (i, cell) in self.regimes.iter().enumerate() {
+            let policies: Vec<&str> = cell.rows.iter().map(|r| r.policy.as_str()).collect();
+            if policies != self.policies {
+                return Err(format!("regime {i} rows {policies:?} != declared policies"));
+            }
+            let qoe_of = |name: &str| {
+                cell.rows
+                    .iter()
+                    .find(|r| r.policy == name)
+                    .map(|r| r.qoe)
+                    .ok_or_else(|| format!("regime {i}: no {name} row"))
+            };
+            let qoes = cell.rows.iter().map(|r| r.qoe);
+            if qoe_of(&cell.winner)? < qoes.fold(f64::NEG_INFINITY, f64::max) {
+                return Err(format!(
+                    "regime {i}: winner {} does not have the best qoe",
+                    cell.winner
+                ));
+            }
+            let hybrid = qoe_of("hybrid")?;
+            let beats = hybrid > qoe_of("memory-aware")? && hybrid > qoe_of("mpc")?;
+            if cell.hybrid_beats_parents != beats {
+                return Err(format!(
+                    "regime {i}: hybrid_beats_parents flag disagrees with the qoe column"
+                ));
+            }
+            if cell.hybrid_beats_parents {
+                flagged.push(cell.label());
+            }
+        }
+        if self.hybrid_wins != flagged {
+            return Err(format!(
+                "hybrid_wins {:?} != flagged regimes {flagged:?}",
+                self.hybrid_wins
+            ));
+        }
+        if self.pairs.is_empty() {
+            return Err("pairs is empty".into());
+        }
+        for (i, pair) in self.pairs.iter().enumerate() {
+            let policies: Vec<&str> = pair.branches.iter().map(|b| b.policy.as_str()).collect();
+            if policies != self.policies {
+                return Err(format!(
+                    "pair {i} branches {policies:?} != declared policies"
+                ));
+            }
+            let base = pair.branches[0].run;
+            if let Some(b) = pair
+                .branches
+                .iter()
+                .find(|b| b.delta != b.run.delta_from(&base))
+            {
+                let policy = &b.policy;
+                return Err(format!(
+                    "pair {i}: {policy} delta disagrees with its absolute values"
+                ));
+            }
+        }
+        Ok(format!(
+            "{} regime(s) x {} policies, {} paired fork(s), hybrid wins in {}",
+            self.regimes.len(),
+            self.policies.len(),
+            self.pairs.len(),
+            self.hybrid_wins.len()
+        ))
+    }
+
     /// Print the regime tables and the regime map.
     pub fn print(&self) {
         report::banner(

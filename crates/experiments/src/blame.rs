@@ -1,4 +1,4 @@
-//! `exp-blame`: the causal attribution report across the arena's regimes.
+//! `mvqoe blame`: the causal attribution report across the arena's regimes.
 //!
 //! Re-runs the arena's sixteen {device} × {network} × {memory} regimes
 //! under one network-only policy with the attribution engine switched on,
@@ -8,7 +8,7 @@
 //! over repetitions, so the artifact is byte-identical at any `--jobs`
 //! count; the shares are derived from them and sum to 1 per regime.
 //!
-//! The headline claim the artifact machine-checks (via `trace-lint`): on
+//! The headline claim [`Blame::validate`] checks (via `mvqoe lint`): on
 //! the paper's dedicated LAN under Moderate synthetic pressure, the
 //! memory-caused share of rebuffer time strictly dominates the
 //! network-caused share — the paper's §4 setup really does isolate memory
@@ -20,6 +20,7 @@ use crate::runner;
 use crate::scale::Scale;
 use mvqoe_core::{run_session, Cause, PressureMode, NCAUSES};
 use mvqoe_device::DeviceProfile;
+use mvqoe_kernel::TrimLevel;
 use serde::{Deserialize, Serialize};
 
 /// The single policy blamed sessions run under: network-only adaptation,
@@ -75,7 +76,7 @@ pub struct BlameRegime {
     pub samples: Vec<SampleRecord>,
 }
 
-/// The `exp-blame` artifact.
+/// The `mvqoe blame` artifact.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Blame {
     /// The policy every session ran under.
@@ -223,6 +224,87 @@ pub fn run(scale: &Scale) -> Blame {
 }
 
 impl Blame {
+    /// Check the artifact: the causes are the engine's, every regime's
+    /// per-cause vectors sum exactly to its sessions' own totals and its
+    /// shares to 1, samples name declared causes, and in every Moderate
+    /// paper-lan regime that rebuffered (at least one must) the
+    /// memory-caused share strictly dominates the network-caused share.
+    /// Returns a one-line summary.
+    pub fn validate(&self) -> Result<String, String> {
+        let labels: Vec<&str> = Cause::ALL.iter().map(|c| c.label()).collect();
+        if self.causes != labels {
+            return Err(format!("causes {:?} are not {labels:?}", self.causes));
+        }
+        if self.regimes.is_empty() {
+            return Err("regimes is empty".into());
+        }
+        let moderate = PressureMode::Synthetic(TrimLevel::Moderate).label();
+        let mut dominance_checked = 0u64;
+        for (i, r) in self.regimes.iter().enumerate() {
+            for (key, per_cause) in [("rebuffer_us", &r.rebuffer_us), ("drops", &r.drops)] {
+                if per_cause.len() != NCAUSES {
+                    let n = per_cause.len();
+                    return Err(format!(
+                        "regime {i}: {key} has {n} entries for {NCAUSES} causes"
+                    ));
+                }
+            }
+            // Conservation: every rebuffer microsecond and dropped frame is
+            // charged to exactly one cause, so the integer vectors sum to
+            // the sessions' own totals exactly.
+            let total = r.stats_rebuffer_us;
+            if r.rebuffer_us.iter().sum::<u64>() != total {
+                return Err(format!(
+                    "regime {i}: per-cause rebuffer sum != session total {total}"
+                ));
+            }
+            if r.drops.iter().sum::<u64>() != r.stats_drops {
+                let total = r.stats_drops;
+                return Err(format!(
+                    "regime {i}: per-cause drop sum != session total {total}"
+                ));
+            }
+            let shares: f64 = r.rebuffer_share.iter().sum();
+            if total > 0 && (shares - 1.0).abs() > 1e-9 {
+                return Err(format!(
+                    "regime {i}: rebuffer shares sum to {shares}, not 1"
+                ));
+            }
+            for (j, s) in r.samples.iter().enumerate() {
+                if !self.causes.contains(&s.cause) {
+                    let cause = &s.cause;
+                    return Err(format!(
+                        "regime {i} sample {j}: cause {cause:?} not in causes"
+                    ));
+                }
+            }
+            // The headline claim: on the dedicated LAN under Moderate
+            // pressure, memory causes strictly dominate network causes.
+            if r.network == "paper-lan" && r.memory == moderate && total > 0 {
+                let (mem, net) = (r.memory_rebuffer_share, r.network_rebuffer_share);
+                if mem <= net {
+                    return Err(format!(
+                        "regime {i} ({}/paper-lan/Moderate): memory share {mem} does not \
+                         dominate network share {net}",
+                        r.device
+                    ));
+                }
+                dominance_checked += 1;
+            }
+        }
+        if dominance_checked == 0 {
+            return Err(
+                "no Moderate paper-lan regime rebuffered; the dominance claim was never exercised"
+                    .into(),
+            );
+        }
+        Ok(format!(
+            "{} regime(s) x {NCAUSES} causes, shares sum to 1, memory dominance held in \
+             {dominance_checked} Moderate paper-lan regime(s)",
+            self.regimes.len()
+        ))
+    }
+
     /// Print the per-regime blame table.
     pub fn print(&self) {
         report::banner(

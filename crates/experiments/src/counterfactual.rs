@@ -1,4 +1,4 @@
-//! `exp-counterfactual`: exact paired counterfactuals via snapshot/fork.
+//! `mvqoe counterfactual`: exact paired counterfactuals via snapshot/fork.
 //!
 //! One §5-style session (Nokia 1, Moderate synthetic pressure, 720p30 —
 //! a cell Table 2 shows crashing) runs a shared prefix, is snapshotted at
@@ -67,7 +67,7 @@ const BRANCHES: [Knob; 4] = [
 ];
 
 /// Paired QoE difference of one branch against the baseline branch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct QoeDelta {
     /// Rebuffer-time difference (s).
     pub rebuffer_s: f64,
@@ -97,6 +97,18 @@ pub struct BranchOutcome {
     pub delta: QoeDelta,
 }
 
+impl BranchOutcome {
+    /// This branch's paired difference against `base`.
+    fn delta_from(&self, base: &BranchOutcome) -> QoeDelta {
+        QoeDelta {
+            rebuffer_s: self.rebuffer_s - base.rebuffer_s,
+            drop_pct: self.drop_pct - base.drop_pct,
+            switches: self.switches as i64 - base.switches as i64,
+            crashed: i64::from(self.crashed) - i64::from(base.crashed),
+        }
+    }
+}
+
 /// One fork point: the shared prefix plus every branch's paired outcome.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Pair {
@@ -110,7 +122,7 @@ pub struct Pair {
     pub branches: Vec<BranchOutcome>,
 }
 
-/// The `exp-counterfactual` artifact.
+/// The `mvqoe counterfactual` artifact.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Counterfactual {
     /// Device under test.
@@ -121,13 +133,16 @@ pub struct Counterfactual {
     pub pairs: Vec<Pair>,
 }
 
-fn qoe(out: &SessionOutcome) -> (f64, f64, u64, bool) {
-    (
-        out.stats.rebuffer_time.as_secs_f64(),
-        out.stats.drop_pct(),
-        out.rep_history.len().saturating_sub(1) as u64,
-        out.stats.crashed(),
-    )
+/// One branch's absolute QoE; its delta is filled in against the baseline.
+fn outcome(knob: &Knob, out: &SessionOutcome) -> BranchOutcome {
+    BranchOutcome {
+        branch: knob.label().to_string(),
+        rebuffer_s: out.stats.rebuffer_time.as_secs_f64(),
+        drop_pct: out.stats.drop_pct(),
+        switches: out.rep_history.len().saturating_sub(1) as u64,
+        crashed: out.stats.crashed(),
+        delta: QoeDelta::default(),
+    }
 }
 
 /// Restore one branch from the shared snapshot, turn its knob, and run it
@@ -206,29 +221,15 @@ pub fn run(scale: &Scale) -> Counterfactual {
         let snap = parent.snapshot(&abr);
         let fork_at_s = snap.at.as_secs_f64();
 
-        let outcomes: Vec<(f64, f64, u64, bool)> = BRANCHES
+        let mut branches: Vec<BranchOutcome> = BRANCHES
             .iter()
             .enumerate()
-            .map(|(bi, knob)| qoe(&run_branch(&snap, knob, bi as u64, rep, fixed)))
+            .map(|(bi, knob)| outcome(knob, &run_branch(&snap, knob, bi as u64, rep, fixed)))
             .collect();
-        let base = outcomes[0];
-        let branches = BRANCHES
-            .iter()
-            .zip(&outcomes)
-            .map(|(knob, &(rebuffer_s, drop_pct, switches, crashed))| BranchOutcome {
-                branch: knob.label().to_string(),
-                rebuffer_s,
-                drop_pct,
-                switches,
-                crashed,
-                delta: QoeDelta {
-                    rebuffer_s: rebuffer_s - base.0,
-                    drop_pct: drop_pct - base.1,
-                    switches: switches as i64 - base.2 as i64,
-                    crashed: crashed as i64 - base.3 as i64,
-                },
-            })
-            .collect();
+        let base = branches[0].clone();
+        for b in &mut branches {
+            b.delta = b.delta_from(&base);
+        }
         Pair {
             rep,
             seed,
@@ -244,6 +245,37 @@ pub fn run(scale: &Scale) -> Counterfactual {
 }
 
 impl Counterfactual {
+    /// Check the artifact: at least one fork, each with every branch, the
+    /// baseline first, and every branch's delta reproducing from its
+    /// absolute values. Returns a one-line summary.
+    pub fn validate(&self) -> Result<String, String> {
+        if self.pairs.is_empty() {
+            return Err("pairs is empty".into());
+        }
+        for (i, pair) in self.pairs.iter().enumerate() {
+            if pair.branches.len() < BRANCHES.len() {
+                return Err(format!(
+                    "pair {i} has {} branch(es), need >= {}",
+                    pair.branches.len(),
+                    BRANCHES.len()
+                ));
+            }
+            let base = &pair.branches[0];
+            if base.branch != Knob::Baseline.label() {
+                return Err(format!("pair {i}: branch 0 is not the baseline"));
+            }
+            // Deltas are exact pairwise differences, so they reproduce bit
+            // for bit from the absolute values.
+            if let Some(b) = pair.branches.iter().find(|b| b.delta != b.delta_from(base)) {
+                let branch = &b.branch;
+                return Err(format!(
+                    "pair {i}: {branch} delta disagrees with its absolute values"
+                ));
+            }
+        }
+        Ok(format!("{} paired fork(s)", self.pairs.len()))
+    }
+
     /// Print the paired-delta table.
     pub fn print(&self) {
         report::banner(

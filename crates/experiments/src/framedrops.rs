@@ -51,7 +51,7 @@ pub struct DropGrid {
 }
 
 /// The experiment id under which a device/player/genre grid derives its
-/// session seeds. Stable across callers so `exp-fig9` and `exp-all` write
+/// session seeds. Stable across callers so `mvqoe fig9` and `mvqoe all` write
 /// identical artifacts.
 pub fn grid_experiment_id(device: &DeviceProfile, player: PlayerKind, genre: Genre) -> String {
     format!("framedrops/{}/{player}/{genre}", device.name)

@@ -1,11 +1,13 @@
 //! Regenerators for every table and figure in the paper's evaluation.
 //!
-//! Each module reproduces one experiment family; each binary under
-//! `src/bin/` prints the corresponding table/series in a form directly
-//! comparable to the paper and writes machine-readable JSON next to it
-//! (`results/<experiment>.json`). Run `exp-all` to regenerate everything,
-//! or individual binaries (`exp-fig9`, `exp-table4`, …); every binary
-//! accepts `--quick` for a reduced-scale pass.
+//! Each module reproduces one experiment family, and the [`registry`]
+//! names each one. The `mvqoe` binary (`src/bin/mvqoe.rs`) runs an entry,
+//! prints the corresponding table/series in a form directly comparable to
+//! the paper and writes machine-readable JSON next to it
+//! (`results/<artifact>.json`). Run `mvqoe all` to regenerate everything,
+//! or one entry (`mvqoe fig9`, `mvqoe table4`, …); every run accepts
+//! `--quick` for a reduced-scale pass, and `mvqoe lint <file>...` checks
+//! written artifacts against their rules.
 //!
 //! | Module | Paper artifacts |
 //! |---|---|

@@ -1,113 +1,94 @@
 //! The experiment registry: one name → runner table for every figure and
-//! table in the paper's evaluation.
+//! table in the paper's evaluation, and the `mvqoe` command line over it.
 //!
-//! Each experiment is an [`Experiment`] implementation that runs at a
+//! Each experiment is an [`Experiment`] entry whose runner runs at a
 //! [`Scale`], prints its report (banners, paper anchors, telemetry
-//! showcase) and returns its data as a [`serde_json::Value`]. The
-//! `exp-*` binaries are one-line dispatchers through [`cli_main`], so
-//! every binary shares the same CLI surface (`--quick`, `--jobs`,
-//! `--fleet-users`, `--rss-limit-mib`, `--perfetto`, `--metrics`,
+//! showcase) and returns its data as a [`serde_json::Value`]. [`cli`]
+//! dispatches on its first argument: `mvqoe <experiment>` runs one entry,
+//! `mvqoe all` runs every entry marked for the full pass, `mvqoe list`
+//! prints the table, and `mvqoe lint <file>...` checks written artifacts.
+//! Every run shares the same flags (`--quick`, `--jobs`, `--fleet-users`,
+//! `--fleet-hours`, `--rss-limit-mib`, `--perfetto`, `--metrics`,
 //! `--dense-ticks`, `--profile`, `--list`) and the same artifact plumbing
-//! (`results/<artifact>.json` + `.meta.json` / `.metrics.json`
-//! sidecars). `exp-all` is [`cli_all`] over the same table.
+//! (`results/<artifact>.json` + `.meta.json` / `.metrics.json` sidecars).
+//!
+//! An entry's `check` parses its artifact back into the struct that wrote
+//! it and runs that struct's `validate()`, where the artifact's rules live;
+//! [`lint_file`] finds a data file's check by its artifact stem.
 
 use crate::scale::Scale;
 use crate::{
-    abr_ablation, arena, blame, counterfactual, fig10, fig8, fleet_figs, framedrops,
-    organic_check, os_ablation, report, serve, session_figs, table1, telemetry, trace_exp,
+    abr_ablation, arena, blame, counterfactual, fig10, fig8, fleet_figs, framedrops, organic_check,
+    os_ablation, report, runner, serve, session_figs, table1, telemetry, trace_exp,
 };
 use mvqoe_device::DeviceProfile;
+use mvqoe_metrics::selfprof;
 use mvqoe_video::PlayerKind;
+use serde::Deserialize;
 use serde_json::Value;
+use std::path::Path;
+use std::process::ExitCode;
+use std::time::Instant;
+
+/// An artifact check: parse the JSON text and run the artifact's rules,
+/// returning a one-line summary or the first broken rule.
+pub type Check = fn(&str) -> Result<String, String>;
 
 /// One experiment the repository can regenerate.
-pub trait Experiment: Sync {
-    /// Registry / CLI name (`exp-all --only <name>` style lookups and the
-    /// `--list` table).
-    fn name(&self) -> &'static str;
-
+pub struct Experiment {
+    /// Registry / CLI name (`mvqoe <name>` and the `mvqoe list` table).
+    pub name: &'static str,
     /// One-line description of what the experiment reproduces.
-    fn description(&self) -> &'static str;
-
+    pub description: &'static str,
     /// Stem of the data artifact, `results/<artifact>.json`.
-    fn artifact(&self) -> &'static str;
-
-    /// Whether `exp-all` includes this experiment (Table 1 digests the
+    pub artifact: &'static str,
+    /// Whether `mvqoe all` includes this experiment (Table 1 digests the
     /// others' outputs, so it runs standalone only).
-    fn in_all(&self) -> bool {
-        true
-    }
-
-    /// Run at `scale`, print the report, and return the artifact data.
-    fn run(&self, scale: &Scale) -> Value;
+    pub in_all: bool,
+    /// The artifact's check; `None` when the artifact has no rules.
+    pub check: Option<Check>,
+    /// Run at a scale, print the report, and return the artifact data.
+    pub run: fn(&Scale) -> Value,
 }
 
-macro_rules! experiments {
-    ($($ty:ident {
-        name: $name:literal,
-        description: $desc:literal,
-        artifact: $artifact:literal,
-        $(in_all: $in_all:literal,)?
-        run: |$scale:ident| $body:expr,
-    })*) => {
-        $(
-            struct $ty;
-
-            impl Experiment for $ty {
-                fn name(&self) -> &'static str {
-                    $name
-                }
-                fn description(&self) -> &'static str {
-                    $desc
-                }
-                fn artifact(&self) -> &'static str {
-                    $artifact
-                }
-                $(
-                    fn in_all(&self) -> bool {
-                        $in_all
-                    }
-                )?
-                fn run(&self, $scale: &Scale) -> Value {
-                    $body
-                }
-            }
-        )*
-
-        /// Every registered experiment, in `exp-all` execution order.
-        pub fn all() -> &'static [&'static dyn Experiment] {
-            static ALL: &[&dyn Experiment] = &[$(&$ty),*];
-            ALL
-        }
-    };
+/// Print an experiment's result and return it as artifact data.
+macro_rules! printed {
+    ($result:expr) => {{
+        let result = $result;
+        result.print();
+        serde_json::to_value(&result)
+    }};
 }
 
-experiments! {
-    Fleet {
+/// Every registered experiment, in `mvqoe all` execution order.
+pub static ALL: &[Experiment] = &[
+    Experiment {
         name: "fleet",
         description: "Figs. 1-6: the §3 user study (streamed fleet run)",
         artifact: "fleet_figs1-6",
-        run: |scale| {
-            let figs = fleet_figs::run(scale);
-            figs.print();
-            serde_json::to_value(&figs)
-        },
-    }
-    Fig8 {
+        in_all: true,
+        check: None,
+        run: |scale| printed!(fleet_figs::run(scale)),
+    },
+    Experiment {
         name: "fig8",
         description: "Fig. 8: client PSS vs resolution x frame rate",
         artifact: "fig8",
+        in_all: true,
+        check: None,
         run: |scale| {
             let f = fig8::run(scale);
             f.print();
             telemetry::showcase("fig8", &DeviceProfile::nexus5(), scale);
             serde_json::to_value(&f)
         },
-    }
-    Fig9 {
+    },
+    Experiment {
         name: "fig9",
         description: "Fig. 9 + Table 2: frame drops and crash rates on the Nokia 1",
         artifact: "fig9_table2",
+        in_all: true,
+        check: None,
         run: |scale| {
             let grid = framedrops::nokia1_grid(scale);
             report::banner("Fig 9", "frame drops on the Nokia 1 (mean ± 95% CI)");
@@ -122,21 +103,21 @@ experiments! {
             telemetry::showcase("fig9_table2", &DeviceProfile::nokia1(), scale);
             serde_json::to_value(&grid)
         },
-    }
-    Fig10 {
+    },
+    Experiment {
         name: "fig10",
         description: "Fig. 10: the DMOS survey",
         artifact: "fig10",
-        run: |scale| {
-            let f = fig10::run(scale);
-            f.print();
-            serde_json::to_value(&f)
-        },
-    }
-    Fig11 {
+        in_all: true,
+        check: None,
+        run: |scale| printed!(fig10::run(scale)),
+    },
+    Experiment {
         name: "fig11",
         description: "Fig. 11 + Table 3: frame drops and crash rates on the Nexus 5",
         artifact: "fig11_table3",
+        in_all: true,
+        check: None,
         run: |scale| {
             let grid = framedrops::nexus5_grid(scale);
             report::banner("Fig 11", "frame drops on the Nexus 5 (mean ± 95% CI)");
@@ -151,11 +132,13 @@ experiments! {
             telemetry::showcase("fig11_table3", &DeviceProfile::nexus5(), scale);
             serde_json::to_value(&grid)
         },
-    }
-    Nexus6p {
+    },
+    Experiment {
         name: "nexus6p",
         description: "§4.3: the Nexus 6P summary grid",
         artifact: "nexus6p",
+        in_all: true,
+        check: None,
         run: |scale| {
             let grid = framedrops::nexus6p_grid(scale);
             report::banner("§4.3", "frame drops on the Nexus 6P");
@@ -164,11 +147,13 @@ experiments! {
             telemetry::showcase("nexus6p", &DeviceProfile::nexus6p(), scale);
             serde_json::to_value(&grid)
         },
-    }
-    Fig12 {
+    },
+    Experiment {
         name: "fig12",
         description: "Fig. 12: the five genres on the Nexus 5",
         artifact: "fig12_genres",
+        in_all: true,
+        check: None,
         run: |scale| {
             let grids = framedrops::genre_grids(scale);
             for grid in &grids {
@@ -182,62 +167,58 @@ experiments! {
             );
             serde_json::to_value(&grids)
         },
-    }
-    Table4 {
+    },
+    Experiment {
         name: "table4",
         description: "Tables 4/5 + Fig. 13: the §5 trace analysis",
         artifact: "table4_table5_fig13",
+        in_all: true,
+        check: None,
         run: |scale| {
             let t = trace_exp::run(scale);
             t.print();
             telemetry::showcase("table4_table5_fig13", &DeviceProfile::nokia1(), scale);
             serde_json::to_value(&t)
         },
-    }
-    Fig14 {
+    },
+    Experiment {
         name: "fig14",
         description: "Fig. 14: FPS + lmkd CPU in a crashing session",
         artifact: "fig14",
-        run: |scale| {
-            let f = session_figs::fig14(scale);
-            f.print();
-            serde_json::to_value(&f)
-        },
-    }
-    Fig15 {
+        in_all: true,
+        check: None,
+        run: |scale| printed!(session_figs::fig14(scale)),
+    },
+    Experiment {
         name: "fig15",
         description: "Fig. 15: FPS + processes killed under organic pressure",
         artifact: "fig15",
-        run: |scale| {
-            let f = session_figs::fig15(scale);
-            f.print();
-            serde_json::to_value(&f)
-        },
-    }
-    Fig16 {
+        in_all: true,
+        check: None,
+        run: |scale| printed!(session_figs::fig15(scale)),
+    },
+    Experiment {
         name: "fig16",
         description: "Fig. 16: encoded frame-rate sweep across resolutions",
         artifact: "fig16",
-        run: |scale| {
-            let f = session_figs::fig16(scale);
-            f.print();
-            serde_json::to_value(&f)
-        },
-    }
-    Fig17 {
+        in_all: true,
+        check: None,
+        run: |scale| printed!(session_figs::fig16(scale)),
+    },
+    Experiment {
         name: "fig17",
         description: "Fig. 17: mid-session frame-rate switching under pressure",
         artifact: "fig17",
-        run: |scale| {
-            let f = session_figs::fig17(scale);
-            f.print();
-            serde_json::to_value(&f)
-        },
-    }
-    Fig18 {
+        in_all: true,
+        check: None,
+        run: |scale| printed!(session_figs::fig17(scale)),
+    },
+    Experiment {
         name: "fig18",
         description: "Fig. 18: ExoPlayer on the Nexus 5 (Appendix B.1)",
         artifact: "fig18_exoplayer",
+        in_all: true,
+        check: None,
         run: |scale| {
             let grid = framedrops::appendix_grid(PlayerKind::ExoPlayer, scale);
             report::banner("Fig 18", "ExoPlayer on the Nexus 5");
@@ -251,11 +232,13 @@ experiments! {
             );
             serde_json::to_value(&grid)
         },
-    }
-    Fig19 {
+    },
+    Experiment {
         name: "fig19",
         description: "Fig. 19: Chrome on the Nexus 5 (Appendix B.2)",
         artifact: "fig19_chrome",
+        in_all: true,
+        check: None,
         run: |scale| {
             let grid = framedrops::appendix_grid(PlayerKind::Chrome, scale);
             report::banner("Fig 19", "Chrome on the Nexus 5");
@@ -267,171 +250,248 @@ experiments! {
             println!("paper: fewer drops than Firefox (smaller footprint), but crashes persist");
             serde_json::to_value(&grid)
         },
-    }
-    Organic {
+    },
+    Experiment {
         name: "organic",
         description: "§4.3: the organic-pressure spot check",
         artifact: "organic_check",
-        run: |scale| {
-            let c = organic_check::run(scale);
-            c.print();
-            serde_json::to_value(&c)
-        },
-    }
-    AbrAblation {
+        in_all: true,
+        check: None,
+        run: |scale| printed!(organic_check::run(scale)),
+    },
+    Experiment {
         name: "abr-ablation",
         description: "§6/§7: memory-aware ABR vs network-only baselines",
         artifact: "abr_ablation",
-        run: |scale| {
-            let a = abr_ablation::run(scale);
-            a.print();
-            serde_json::to_value(&a)
-        },
-    }
-    OsAblation {
+        in_all: true,
+        check: None,
+        run: |scale| printed!(abr_ablation::run(scale)),
+    },
+    Experiment {
         name: "os-ablation",
         description: "§7 ablations: CPU resources and mmcqd scheduling class",
         artifact: "os_ablation",
-        run: |scale| {
-            let a = os_ablation::run(scale);
-            a.print();
-            serde_json::to_value(&a)
-        },
-    }
-    Counterfactual {
+        in_all: true,
+        check: None,
+        run: |scale| printed!(os_ablation::run(scale)),
+    },
+    Experiment {
         name: "counterfactual",
         description: "paired policy counterfactuals forked from one snapshotted prefix",
         artifact: "counterfactual",
         in_all: false,
-        run: |scale| {
-            let c = counterfactual::run(scale);
-            c.print();
-            serde_json::to_value(&c)
-        },
-    }
-    Arena {
+        check: Some(|json| parse::<counterfactual::Counterfactual>(json)?.validate()),
+        run: |scale| printed!(counterfactual::run(scale)),
+    },
+    Experiment {
         name: "arena",
         description: "joint network + memory pressure: six ABR policies raced per regime",
         artifact: "arena",
         in_all: false,
-        run: |scale| {
-            let a = arena::run(scale);
-            a.print();
-            serde_json::to_value(&a)
-        },
-    }
-    Blame {
+        check: Some(|json| parse::<arena::Arena>(json)?.validate()),
+        run: |scale| printed!(arena::run(scale)),
+    },
+    Experiment {
         name: "blame",
         description: "causal attribution: every rebuffer second and dropped frame blamed on its cause",
         artifact: "attribution",
         in_all: false,
-        run: |scale| {
-            let b = blame::run(scale);
-            b.print();
-            serde_json::to_value(&b)
-        },
-    }
-    Serve {
+        check: Some(|json| parse::<blame::Blame>(json)?.validate()),
+        run: |scale| printed!(blame::run(scale)),
+    },
+    Experiment {
         name: "serve",
         description: "live telemetry service: ingest the fleet over TCP, scrape, verify vs batch",
         artifact: "service",
         in_all: false,
-        run: |scale| {
-            let s = serve::run(scale);
-            s.print();
-            serde_json::to_value(&s)
-        },
-    }
-    Table1 {
+        check: Some(|json| parse::<serve::ServeResults>(json)?.validate()),
+        run: |scale| printed!(serve::run(scale)),
+    },
+    Experiment {
         name: "table1",
         description: "Table 1: the key-insight digest",
         artifact: "table1",
         in_all: false,
-        run: |scale| {
-            let t = table1::run(scale);
-            t.print();
-            serde_json::to_value(&t)
-        },
-    }
-}
+        check: None,
+        run: |scale| printed!(table1::run(scale)),
+    },
+];
 
 /// Look an experiment up by registry name.
-pub fn find(name: &str) -> Option<&'static dyn Experiment> {
-    all().iter().copied().find(|e| e.name() == name)
+pub fn find(name: &str) -> Option<&'static Experiment> {
+    ALL.iter().find(|e| e.name == name)
 }
 
-/// Run one experiment at `scale` and write its artifact (plus the usual
-/// meta/metrics sidecars) through the shared [`report::MetaTimer`] path.
-pub fn run_one(exp: &dyn Experiment, scale: &Scale) -> Value {
-    let timer = report::MetaTimer::start(scale);
-    let value = exp.run(scale);
-    timer.write_json(exp.artifact(), &value);
+/// Run one experiment at `scale` and write `<artifact>.json` plus its
+/// sidecars: `<artifact>.meta.json` (wall clock, job count, per-worker
+/// utilization and, under `--profile`, the self-profiling totals) and,
+/// when the runner stashed per-cell snapshots (`--metrics`),
+/// `<artifact>.metrics.json`. Only the sidecars vary run to run.
+pub fn run_one(exp: &Experiment, scale: &Scale) -> Value {
+    if scale.profile {
+        selfprof::reset();
+        selfprof::set_enabled(true);
+    }
+    let start = Instant::now();
+    let value = (exp.run)(scale);
+    report::write_json(exp.artifact, &value);
+    let stash = runner::drain_stash();
+    let meta = report::RunMeta {
+        jobs: scale.jobs,
+        wall_secs: start.elapsed().as_secs_f64(),
+        runs_per_cell: scale.runs,
+        seed: scale.seed,
+        workers: stash.workers,
+        profile: scale.profile.then(selfprof::snapshot),
+    };
+    report::write_json(&format!("{}.meta", exp.artifact), &meta);
+    if !stash.metrics.is_empty() {
+        report::write_json(&format!("{}.metrics", exp.artifact), &stash.metrics);
+    }
     value
 }
 
-/// Print the registry as a name → artifact table (`--list`).
+/// Print the registry as a name → artifact table (`mvqoe list`).
 pub fn print_list() {
-    let rows: Vec<Vec<String>> = all()
+    let rows: Vec<Vec<String>> = ALL
         .iter()
         .map(|e| {
             vec![
-                e.name().to_string(),
-                format!("results/{}.json", e.artifact()),
-                if e.in_all() { "yes" } else { "no" }.to_string(),
-                e.description().to_string(),
+                e.name.to_string(),
+                format!("results/{}.json", e.artifact),
+                if e.in_all { "yes" } else { "no" }.to_string(),
+                e.description.to_string(),
             ]
         })
         .collect();
-    report::print_table(&["name", "artifact", "in exp-all", "reproduces"], &rows);
+    report::print_table(&["name", "artifact", "in all", "reproduces"], &rows);
 }
 
-/// Fail the process if the run exceeded the `--rss-limit-mib` guard rail;
-/// report peak RSS when a limit was requested.
-fn enforce_rss_limit(scale: &Scale) {
+/// Fail the run if it exceeded the `--rss-limit-mib` guard rail; report
+/// peak RSS when a limit was requested.
+fn enforce_rss_limit(scale: &Scale) -> ExitCode {
     let Some(limit) = scale.rss_limit_mib else {
-        return;
+        return ExitCode::SUCCESS;
     };
     match mvqoe_core::peak_rss_mib() {
         Some(peak) if peak > limit as f64 => {
             eprintln!("peak RSS {peak:.0} MiB exceeded the --rss-limit-mib {limit} MiB bound");
-            std::process::exit(1);
+            return ExitCode::FAILURE;
         }
         Some(peak) => println!("peak RSS {peak:.0} MiB within the {limit} MiB bound"),
         None => eprintln!("--rss-limit-mib set but /proc/self/status is unavailable; not enforced"),
     }
+    ExitCode::SUCCESS
 }
 
-/// Entry point for a single-experiment `exp-*` binary: shared CLI parse,
-/// registry dispatch, artifact write, RSS guard.
-pub fn cli_main(name: &str) {
-    if std::env::args().any(|a| a == "--list") {
-        print_list();
-        return;
-    }
-    let scale = Scale::from_args();
-    let exp = find(name).unwrap_or_else(|| panic!("experiment {name:?} is not registered"));
-    run_one(exp, &scale);
-    enforce_rss_limit(&scale);
+fn parse<T: Deserialize>(json: &str) -> Result<T, String> {
+    serde_json::from_str(json).map_err(|e| e.to_string())
 }
 
-/// Entry point for `exp-all`: every registry experiment marked for the
-/// full pass, in registry order, with the shared CLI surface.
-pub fn cli_all() {
-    if std::env::args().any(|a| a == "--list") {
+/// Check one written artifact. `*.meta.json`, `*.metrics.json` and
+/// `*.trace.json` files are told apart by suffix; any other `<stem>.json`
+/// must be a registered experiment's artifact and runs that entry's
+/// `check`. Returns the report line; the error names the file.
+pub fn lint_file(path: &Path, require_profile: bool) -> Result<String, String> {
+    let shown = path.display();
+    let fail = |why: String| format!("{shown}: {why}");
+    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+    let json = std::fs::read_to_string(path).map_err(|e| fail(format!("unreadable: {e}")))?;
+    let checked = if name.ends_with(".meta.json") {
+        parse::<report::RunMeta>(&json).and_then(|meta| meta.validate(require_profile))
+    } else if name.ends_with(".metrics.json") {
+        parse(&json).and_then(|sidecar| mvqoe_metrics::snapshot::validate_sidecar(&sidecar))
+    } else if name.ends_with(".trace.json") {
+        parse(&json).and_then(|trace| mvqoe_trace::validate_chrome_trace(&trace))
+    } else {
+        let stem = name.strip_suffix(".json").unwrap_or(name);
+        let exp = ALL
+            .iter()
+            .find(|e| e.artifact == stem)
+            .ok_or_else(|| fail(format!("{name:?} is not a registered artifact or sidecar")))?;
+        let Some(check) = exp.check else {
+            return Ok(format!(
+                "[--] {shown}: `{}` has no rules to check",
+                exp.name
+            ));
+        };
+        check(&json)
+    };
+    checked
+        .map(|summary| format!("[ok] {shown}: {summary}"))
+        .map_err(fail)
+}
+
+const USAGE: &str = "usage: mvqoe <experiment>|all [--quick] [--jobs N] [--fleet-users N] \
+                     [--fleet-hours H] [--rss-limit-mib N] [--perfetto DIR] [--metrics] \
+                     [--profile] [--dense-ticks]
+       mvqoe list
+       mvqoe lint [--require-profile] <file>...";
+
+fn usage_error(why: &str) -> ExitCode {
+    let names: Vec<&str> = ALL.iter().map(|e| e.name).collect();
+    eprintln!("{why}\n{USAGE}\nexperiments: {}", names.join(", "));
+    ExitCode::from(2)
+}
+
+/// `mvqoe lint [--require-profile] <file>...`: check each file with
+/// [`lint_file`], stopping at the first failure.
+fn lint_cli(args: &[String]) -> ExitCode {
+    let (flags, paths): (Vec<&String>, Vec<&String>) =
+        args.iter().partition(|a| a.starts_with("--"));
+    if let Some(flag) = flags.iter().find(|f| f.as_str() != "--require-profile") {
+        return usage_error(&format!("unknown lint flag {flag}"));
+    }
+    if paths.is_empty() {
+        return usage_error("lint needs at least one file");
+    }
+    for path in paths {
+        match lint_file(Path::new(path), !flags.is_empty()) {
+            Ok(line) => println!("{line}"),
+            Err(e) => {
+                eprintln!("[lint] {e}");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    ExitCode::SUCCESS
+}
+
+/// The `mvqoe` command line (`args` without the program name): dispatch on
+/// the first argument to one experiment, `all`, `list` or `lint`. Exits 2
+/// on a usage error and 1 when a check or the RSS guard fails.
+pub fn cli(args: &[String]) -> ExitCode {
+    let command = args.first().map(String::as_str).unwrap_or("");
+    if command == "list" || args.iter().any(|a| a == "--list") {
         print_list();
-        return;
+        return ExitCode::SUCCESS;
     }
-    let scale = Scale::from_args();
-    let t0 = std::time::Instant::now();
-    for exp in all().iter().filter(|e| e.in_all()) {
-        run_one(*exp, &scale);
+    if command == "lint" {
+        return lint_cli(&args[1..]);
     }
-    println!(
-        "\nall experiments regenerated in {:.1}s with {} worker thread(s)",
-        t0.elapsed().as_secs_f64(),
-        scale.jobs
-    );
-    enforce_rss_limit(&scale);
+    if command.is_empty() {
+        return usage_error("no experiment given");
+    }
+    let selected: Vec<&Experiment> = if command == "all" {
+        ALL.iter().filter(|e| e.in_all).collect()
+    } else if let Some(exp) = find(command) {
+        vec![exp]
+    } else {
+        return usage_error(&format!("unknown experiment {command:?}"));
+    };
+    let scale = Scale::from_args(args);
+    let t0 = Instant::now();
+    for exp in selected {
+        run_one(exp, &scale);
+    }
+    if command == "all" {
+        println!(
+            "\nall experiments regenerated in {:.1}s with {} worker thread(s)",
+            t0.elapsed().as_secs_f64(),
+            scale.jobs
+        );
+    }
+    enforce_rss_limit(&scale)
 }
 
 #[cfg(test)]
@@ -440,8 +500,8 @@ mod tests {
 
     #[test]
     fn names_and_artifacts_are_unique() {
-        let mut names: Vec<&str> = all().iter().map(|e| e.name()).collect();
-        let mut artifacts: Vec<&str> = all().iter().map(|e| e.artifact()).collect();
+        let mut names: Vec<&str> = ALL.iter().map(|e| e.name).collect();
+        let mut artifacts: Vec<&str> = ALL.iter().map(|e| e.artifact).collect();
         names.sort_unstable();
         artifacts.sort_unstable();
         assert_eq!(names.len(), 22);
@@ -453,22 +513,18 @@ mod tests {
 
     #[test]
     fn lookup_finds_every_experiment() {
-        for exp in all() {
-            let found = find(exp.name()).expect("registered name resolves");
-            assert_eq!(found.artifact(), exp.artifact());
+        for exp in ALL {
+            let found = find(exp.name).expect("registered name resolves");
+            assert_eq!(found.artifact, exp.artifact);
         }
         assert!(find("not-an-experiment").is_none());
     }
 
     #[test]
-    fn exp_all_keeps_its_execution_order() {
-        // The full pass runs in the historical exp-all order; Table 1
+    fn all_keeps_its_execution_order() {
+        // The full pass keeps its historical order; Table 1
         // digests the others' artifacts, so it stays out of the pass.
-        let order: Vec<&str> = all()
-            .iter()
-            .filter(|e| e.in_all())
-            .map(|e| e.name())
-            .collect();
+        let order: Vec<&str> = ALL.iter().filter(|e| e.in_all).map(|e| e.name).collect();
         assert_eq!(
             order,
             [
@@ -477,6 +533,6 @@ mod tests {
                 "abr-ablation", "os-ablation",
             ]
         );
-        assert!(!find("table1").unwrap().in_all());
+        assert!(!find("table1").unwrap().in_all);
     }
 }

@@ -1,13 +1,10 @@
 //! Output helpers: aligned tables on stdout, JSON in `results/`.
 
-use crate::runner;
-use crate::scale::Scale;
 use mvqoe_core::WorkerStat;
 use mvqoe_metrics::selfprof::{self, PhaseProfile};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::time::Instant;
 
 /// Print a header banner for an experiment.
 pub fn banner(id: &str, title: &str) {
@@ -82,7 +79,7 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
 }
 
 /// Run metadata written next to an experiment's data JSON.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunMeta {
     /// Worker threads used by the parallel engine.
     pub jobs: usize,
@@ -101,61 +98,35 @@ pub struct RunMeta {
     pub profile: Option<Vec<PhaseProfile>>,
 }
 
-/// Times one experiment and writes its results with a `<name>.meta.json`
-/// sidecar recording wall-clock and worker count. The sidecar keeps the
-/// data JSON itself byte-identical across `--jobs` settings: only the meta
-/// file (which nothing diffs against golden outputs) varies run to run.
-pub struct MetaTimer {
-    start: Instant,
-    jobs: usize,
-    runs_per_cell: u64,
-    seed: u64,
-    profile: bool,
-}
-
-impl MetaTimer {
-    /// Start timing an experiment run at this scale. When the scale asks
-    /// for self-profiling, recording turns on (and the counters reset) for
-    /// the span of this experiment; the totals land in the sidecar.
-    pub fn start(scale: &Scale) -> MetaTimer {
-        if scale.profile {
-            selfprof::reset();
-            selfprof::set_enabled(true);
+impl RunMeta {
+    /// Check the sidecar: positive `wall_secs`, at least one job, and, when
+    /// the run was profiled (or `require_profile` asks for it), a profile
+    /// listing every instrumented phase once, in order, with at least one
+    /// recorded call. Returns a one-line summary.
+    pub fn validate(&self, require_profile: bool) -> Result<String, String> {
+        if self.wall_secs <= 0.0 {
+            return Err(format!("wall_secs {} is not positive", self.wall_secs));
         }
-        MetaTimer {
-            start: Instant::now(),
-            jobs: scale.jobs,
-            runs_per_cell: scale.runs,
-            seed: scale.seed,
-            profile: scale.profile,
+        if self.jobs < 1 {
+            return Err("jobs must be at least 1".into());
         }
-    }
-
-    /// Wall-clock seconds elapsed since [`MetaTimer::start`].
-    pub fn wall_secs(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
-    /// Write `<name>.json` (the data) plus `<name>.meta.json` (this run's
-    /// wall clock, job count, and per-worker utilization). When the runner
-    /// stashed per-cell metrics snapshots (`--metrics`), they land in a
-    /// third sidecar, `<name>.metrics.json`, keyed by experiment id — the
-    /// data JSON itself never changes.
-    pub fn write_json<T: Serialize>(&self, name: &str, value: &T) {
-        write_json(name, value);
-        let stash = runner::drain_stash();
-        let meta = RunMeta {
-            jobs: self.jobs,
-            wall_secs: self.wall_secs(),
-            runs_per_cell: self.runs_per_cell,
-            seed: self.seed,
-            workers: stash.workers,
-            profile: self.profile.then(selfprof::snapshot),
+        let Some(profile) = &self.profile else {
+            return if require_profile {
+                Err("profile block required but missing/null".into())
+            } else {
+                Ok("sidecar valid (unprofiled run)".into())
+            };
         };
-        write_json(&format!("{name}.meta"), &meta);
-        if !stash.metrics.is_empty() {
-            write_json(&format!("{name}.metrics"), &stash.metrics);
+        let expected: Vec<&str> = selfprof::PHASES.iter().map(|p| p.name()).collect();
+        let got: Vec<&str> = profile.iter().map(|p| p.phase.as_str()).collect();
+        if got != expected {
+            return Err(format!("profile phases {got:?} != expected {expected:?}"));
         }
+        let calls: u64 = profile.iter().map(|p| p.calls).sum();
+        if calls == 0 {
+            return Err("profile recorded zero calls across all phases".into());
+        }
+        Ok(format!("profile block valid ({calls} span(s) recorded)"))
     }
 }
 

@@ -10,7 +10,7 @@
 //!
 //! When `scale.metrics` is set, every grid run also collects a per-cell
 //! [`MetricsSnapshot`] into a process-wide stash, which
-//! [`crate::report::MetaTimer::write_json`] drains into a
+//! [`crate::registry::run_one`] drains into a
 //! `results/<name>.metrics.json` sidecar. Worker utilization
 //! ([`WorkerStat`]) is stashed unconditionally — it only feeds the meta
 //! sidecar, never the data JSON.
@@ -19,8 +19,7 @@ use crate::scale::Scale;
 use mvqoe_core::{
     parallel_map_stats, run_cells_parallel_metrics, CellResult, CellSpec, WorkerStat,
 };
-use mvqoe_metrics::MetricsSnapshot;
-use std::collections::BTreeMap;
+use mvqoe_metrics::{MetricsSidecar, MetricsSnapshot};
 use std::sync::Mutex;
 
 /// Everything the runner observed since the last [`drain_stash`]: per-cell
@@ -29,7 +28,7 @@ use std::sync::Mutex;
 #[derive(Debug, Default)]
 pub struct TelemetryStash {
     /// Per-cell metrics snapshots, in grid order, keyed by experiment id.
-    pub metrics: BTreeMap<String, Vec<MetricsSnapshot>>,
+    pub metrics: MetricsSidecar,
     /// Worker utilization summed over every engine invocation.
     pub workers: Vec<WorkerStat>,
 }
@@ -53,7 +52,7 @@ fn with_stash(f: impl FnOnce(&mut TelemetryStash)) {
     f(guard.get_or_insert_with(TelemetryStash::default));
 }
 
-/// Take everything stashed since the previous drain. Each experiment binary
+/// Take everything stashed since the previous drain. Each experiment run
 /// drains once per `results/<name>.json` write, so the stash holds exactly
 /// one experiment's telemetry at a time.
 pub fn drain_stash() -> TelemetryStash {

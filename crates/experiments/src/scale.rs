@@ -168,24 +168,23 @@ impl Scale {
     /// event-driven time skip (byte-identical outputs, for bisecting), and
     /// `--profile` records hot-path self-profiling totals into the
     /// `.meta.json` sidecar.
-    pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
+    pub fn from_args(args: &[String]) -> Scale {
         let mut scale = if args.iter().any(|a| a == "--quick" || a == "-q") {
             Scale::quick()
         } else {
             Scale::full()
         };
-        if let Some(users) = parse_value(&args, &["--fleet-users"]) {
+        if let Some(users) = parse_value(args, &["--fleet-users"]) {
             scale = scale.fleet_users(users);
         }
-        if let Some(hours) = parse_value(&args, &["--fleet-hours"]) {
+        if let Some(hours) = parse_value(args, &["--fleet-hours"]) {
             scale = scale.fleet_hours(hours);
         }
-        scale.rss_limit_mib = parse_value(&args, &["--rss-limit-mib"]);
-        if let Some(jobs) = parse_value(&args, &["--jobs", "-j"]) {
+        scale.rss_limit_mib = parse_value(args, &["--rss-limit-mib"]);
+        if let Some(jobs) = parse_value(args, &["--jobs", "-j"]) {
             scale = scale.jobs(jobs);
         }
-        scale.perfetto = parse_flag_value(&args, "--perfetto");
+        scale.perfetto = parse_flag_value(args, "--perfetto");
         scale.metrics = args.iter().any(|a| a == "--metrics");
         scale.dense_ticks = args.iter().any(|a| a == "--dense-ticks");
         scale.profile = args.iter().any(|a| a == "--profile");

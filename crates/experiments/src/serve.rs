@@ -39,6 +39,45 @@ pub struct ServeResults {
 }
 
 impl ServeResults {
+    /// Check the artifact: a recruited fleet with `kept <= recruited` and
+    /// nothing left in flight, an ack that folded every recruit and
+    /// accepted at least a `Begin` and an `End` per device, a fold that
+    /// matched the batch engine, and a scrape that is valid Prometheus
+    /// exposition. Returns a one-line summary.
+    pub fn validate(&self) -> Result<String, String> {
+        let (h, ack) = (&self.headline, &self.ack);
+        if h.recruited < 1 {
+            return Err("no devices recruited".into());
+        }
+        if h.kept > u64::from(h.recruited) {
+            return Err(format!("kept {} exceeds recruited {}", h.kept, h.recruited));
+        }
+        if h.devices_in_flight != 0 {
+            return Err("observations still in flight at shutdown".into());
+        }
+        if ack.folded != u64::from(h.recruited) {
+            return Err(format!(
+                "ack folded {} devices but headline recruited {}",
+                ack.folded, h.recruited
+            ));
+        }
+        if ack.accepted < 2 * ack.folded {
+            return Err(format!(
+                "accepted {} reports cannot cover {} folded device(s)",
+                ack.accepted, ack.folded
+            ));
+        }
+        if !self.equivalent_to_batch {
+            return Err("service fold is not batch-equivalent".into());
+        }
+        let stats = prometheus::validate(&self.scrape)
+            .map_err(|e| format!("scrape is not valid exposition: {e}"))?;
+        Ok(format!(
+            "{} device(s) folded, {} report(s), {} scrape families / {} samples",
+            h.recruited, ack.accepted, stats.families, stats.samples
+        ))
+    }
+
     /// Print the service-run report.
     pub fn print(&self) {
         report::banner(
@@ -87,7 +126,7 @@ impl ServeResults {
 fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
     use std::io::{Read, Write};
     let mut stream = std::net::TcpStream::connect(addr).expect("connect to own service");
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: exp-serve\r\n\r\n").expect("send request");
+    write!(stream, "GET {path} HTTP/1.1\r\nHost: mvqoe\r\n\r\n").expect("send request");
     let mut raw = String::new();
     stream.read_to_string(&mut raw).expect("read response");
     let (head, body) = raw.split_once("\r\n\r\n").expect("a complete response");

@@ -1,6 +1,6 @@
 //! The observability showcase: one fully traced session per experiment.
 //!
-//! When an experiment binary runs with `--perfetto <dir>` (and/or
+//! When an experiment runs with `--perfetto <dir>` (and/or
 //! `--metrics`), it tacks one extra session onto the run: the paper's §5
 //! scenario (480p @ 60 FPS under Moderate synthetic pressure) on the
 //! experiment's device, with full event recording on. The scheduler trace

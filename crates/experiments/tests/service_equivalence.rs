@@ -60,12 +60,12 @@ fn service_fold_matches_the_sharded_batch_engine() {
 #[test]
 fn the_serve_experiment_reports_equivalence_end_to_end() {
     // The registry entry itself: serve + ingest + scrape + batch check at
-    // quick scale, exactly what `exp-serve --quick` runs.
+    // quick scale, exactly what `mvqoe serve --quick` runs.
     let scale = Scale::quick().jobs(2).fleet_hours(0.1);
     let results = serve::run(&scale);
     assert!(
         results.equivalent_to_batch,
-        "exp-serve must verify the service fold against the batch engine"
+        "mvqoe serve must verify the service fold against the batch engine"
     );
     assert_eq!(results.headline.recruited, scale.fleet_users);
     assert_eq!(results.ack.parse_failures, 0);

@@ -24,7 +24,7 @@ pub mod snapshot;
 
 pub use histogram::Histogram;
 pub use registry::{CounterId, GaugeId, HistogramId, MetricsRegistry};
-pub use snapshot::{HistogramSnapshot, MetricsSnapshot};
+pub use snapshot::{HistogramSnapshot, MetricsSidecar, MetricsSnapshot};
 
 use std::sync::{Arc, Mutex};
 

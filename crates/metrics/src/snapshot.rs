@@ -118,6 +118,39 @@ impl MetricsSnapshot {
     }
 }
 
+/// The `.metrics.json` sidecar: per-cell snapshots keyed by experiment id.
+pub type MetricsSidecar = BTreeMap<String, Vec<MetricsSnapshot>>;
+
+/// Check a metrics sidecar: at least one experiment, each with at least one
+/// snapshot, and every histogram's bucket counts summing to its `count`.
+/// Returns a one-line summary.
+pub fn validate_sidecar(sidecar: &MetricsSidecar) -> Result<String, String> {
+    if sidecar.is_empty() {
+        return Err("no experiments recorded".into());
+    }
+    for (exp, snaps) in sidecar {
+        if snaps.is_empty() {
+            return Err(format!("{exp}: no snapshots"));
+        }
+        for (i, snap) in snaps.iter().enumerate() {
+            for (name, h) in &snap.histograms {
+                let bucket_sum: u64 = h.buckets.iter().map(|&(_, c)| c).sum();
+                if bucket_sum != h.count {
+                    return Err(format!(
+                        "{exp}[{i}].{name}: bucket sum {bucket_sum} != count {}",
+                        h.count
+                    ));
+                }
+            }
+        }
+    }
+    let snapshots: usize = sidecar.values().map(Vec::len).sum();
+    Ok(format!(
+        "{} experiment(s), {snapshots} snapshot(s)",
+        sidecar.len()
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

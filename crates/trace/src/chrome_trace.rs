@@ -22,6 +22,7 @@
 use crate::trace::Trace;
 use mvqoe_sched::{SchedEventKind, ThreadId, ThreadState};
 use mvqoe_sim::SimTime;
+use serde::Value;
 use std::collections::BTreeSet;
 use std::io;
 use std::path::Path;
@@ -247,6 +248,63 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
 /// Serialize `trace` and write it to `path`.
 pub fn write_chrome_trace(trace: &Trace, path: &Path) -> io::Result<()> {
     std::fs::write(path, chrome_trace_json(trace))
+}
+
+/// Check a parsed Chrome trace-event file: a non-empty `traceEvents` array
+/// whose numeric `ts` never go backwards, a `dur` on every slice and an
+/// `args.value` on every counter sample, at least one `thread_name` record
+/// and at least three counter tracks. Returns a one-line summary.
+pub fn validate_chrome_trace(v: &Value) -> Result<String, String> {
+    let events = v
+        .get("traceEvents")
+        .and_then(Value::as_seq)
+        .ok_or("no traceEvents array")?;
+    if events.is_empty() {
+        return Err("traceEvents is empty".into());
+    }
+    let mut thread_names = 0u64;
+    let mut counters = BTreeSet::new();
+    let mut instants = 0u64;
+    let mut last_ts = -1.0f64;
+    for (i, ev) in events.iter().enumerate() {
+        let ts = ev
+            .get("ts")
+            .and_then(Value::as_f64)
+            .ok_or_else(|| format!("event {i} has no numeric ts"))?;
+        if ts < last_ts {
+            return Err(format!("event {i} ts {ts} goes backwards (prev {last_ts})"));
+        }
+        last_ts = ts;
+        let name = ev.get("name").and_then(Value::as_str);
+        match ev.get("ph").and_then(Value::as_str).unwrap_or("") {
+            "M" => thread_names += u64::from(name == Some("thread_name")),
+            "C" => {
+                counters.extend(name);
+                ev.get("args")
+                    .and_then(|a| a.get("value"))
+                    .and_then(Value::as_f64)
+                    .ok_or_else(|| format!("counter event {i} has no args.value"))?;
+            }
+            "X" => {
+                ev.get("dur")
+                    .and_then(Value::as_f64)
+                    .ok_or_else(|| format!("slice event {i} has no dur"))?;
+            }
+            "i" => instants += 1,
+            _ => {}
+        }
+    }
+    if thread_names == 0 {
+        return Err("no thread_name metadata".into());
+    }
+    let tracks = counters.len();
+    if tracks < 3 {
+        return Err(format!("only {tracks} counter track(s), need >= 3"));
+    }
+    Ok(format!(
+        "{} events, {thread_names} threads, {tracks} counter tracks, {instants} instants",
+        events.len()
+    ))
 }
 
 #[cfg(test)]

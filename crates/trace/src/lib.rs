@@ -15,5 +15,5 @@ pub mod chrome_trace;
 pub mod trace;
 
 pub use analysis::{PreemptionSummary, ThreadRunTime};
-pub use chrome_trace::{chrome_trace_json, write_chrome_trace};
+pub use chrome_trace::{chrome_trace_json, validate_chrome_trace, write_chrome_trace};
 pub use trace::{FlowRecord, InstantEvent, Trace};
