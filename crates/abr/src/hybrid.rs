@@ -22,7 +22,6 @@ use crate::memory_aware::MemoryAwareConfig;
 use crate::mpc::{lookahead_pick, MpcConfig, Predictor};
 use mvqoe_kernel::TrimLevel;
 use mvqoe_video::{Fps, Representation, Resolution};
-use serde::{Deserialize, Serialize};
 
 /// The hybrid memory/bandwidth controller.
 #[derive(Debug, Clone)]
@@ -153,9 +152,9 @@ impl Abr for Hybrid {
 
     fn state_value(&self) -> serde::Value {
         serde::Value::Map(vec![
-            ("fps_cap".into(), self.fps_cap.to_value()),
-            ("res_cap".into(), self.res_cap.to_value()),
-            ("normal_streak".into(), self.normal_streak.to_value()),
+            ("fps_cap".into(), serde::to_value(&self.fps_cap)),
+            ("res_cap".into(), serde::to_value(&self.res_cap)),
+            ("normal_streak".into(), serde::to_value(&self.normal_streak)),
             ("predictor".into(), self.predictor.state_value()),
         ])
     }
@@ -166,9 +165,9 @@ impl Abr for Hybrid {
                 .get(name)
                 .ok_or_else(|| serde::de::Error::custom(format!("Hybrid state missing {name}")))
         };
-        self.fps_cap = Fps::from_value(field("fps_cap")?)?;
-        self.res_cap = Resolution::from_value(field("res_cap")?)?;
-        self.normal_streak = u32::from_value(field("normal_streak")?)?;
+        self.fps_cap = serde::from_value(field("fps_cap")?)?;
+        self.res_cap = serde::from_value(field("res_cap")?)?;
+        self.normal_streak = serde::from_value(field("normal_streak")?)?;
         self.predictor.restore(field("predictor")?)
     }
 }

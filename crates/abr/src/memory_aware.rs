@@ -171,9 +171,9 @@ impl<A: Abr> Abr for MemoryAware<A> {
 
     fn state_value(&self) -> serde::Value {
         serde::Value::Map(vec![
-            ("fps_cap".into(), self.fps_cap.to_value()),
-            ("res_cap".into(), self.res_cap.to_value()),
-            ("normal_streak".into(), self.normal_streak.to_value()),
+            ("fps_cap".into(), serde::to_value(&self.fps_cap)),
+            ("res_cap".into(), serde::to_value(&self.res_cap)),
+            ("normal_streak".into(), serde::to_value(&self.normal_streak)),
             ("inner".into(), self.inner.state_value()),
         ])
     }
@@ -184,9 +184,9 @@ impl<A: Abr> Abr for MemoryAware<A> {
                 serde::de::Error::custom(format!("MemoryAware state missing {name}"))
             })
         };
-        self.fps_cap = Fps::from_value(field("fps_cap")?)?;
-        self.res_cap = Resolution::from_value(field("res_cap")?)?;
-        self.normal_streak = u32::from_value(field("normal_streak")?)?;
+        self.fps_cap = serde::from_value(field("fps_cap")?)?;
+        self.res_cap = serde::from_value(field("res_cap")?)?;
+        self.normal_streak = serde::from_value(field("normal_streak")?)?;
         self.inner.restore_state(field("inner")?)
     }
 }

@@ -13,7 +13,6 @@
 
 use crate::context::{Abr, AbrContext};
 use mvqoe_video::{Fps, Representation};
-use serde::{Deserialize, Serialize};
 
 /// How many past prediction errors the robust discount remembers.
 const ERROR_WINDOW: usize = 5;
@@ -66,8 +65,11 @@ impl Predictor {
 
     pub(crate) fn state_value(&self) -> serde::Value {
         serde::Value::Map(vec![
-            ("past_errors".into(), self.past_errors.to_value()),
-            ("last_prediction".into(), self.last_prediction.to_value()),
+            ("past_errors".into(), serde::to_value(&self.past_errors)),
+            (
+                "last_prediction".into(),
+                serde::to_value(&self.last_prediction),
+            ),
         ])
     }
 
@@ -77,8 +79,8 @@ impl Predictor {
                 .get(name)
                 .ok_or_else(|| serde::de::Error::custom(format!("Predictor state missing {name}")))
         };
-        self.past_errors = Vec::<f64>::from_value(field("past_errors")?)?;
-        self.last_prediction = Option::<f64>::from_value(field("last_prediction")?)?;
+        self.past_errors = serde::from_value(field("past_errors")?)?;
+        self.last_prediction = serde::from_value(field("last_prediction")?)?;
         Ok(())
     }
 }

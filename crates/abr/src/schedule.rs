@@ -50,13 +50,11 @@ impl Abr for ScheduledFps {
     }
 
     fn state_value(&self) -> serde::Value {
-        use serde::Serialize;
-        self.served.to_value()
+        serde::to_value(&self.served)
     }
 
     fn restore_state(&mut self, state: &serde::Value) -> Result<(), serde::de::Error> {
-        use serde::Deserialize;
-        self.served = u32::from_value(state)?;
+        self.served = serde::from_value(state)?;
         Ok(())
     }
 }

@@ -295,10 +295,14 @@ mod tests {
             let mut b = SimRng::new(u64::from(idx));
             recycled.refill_fleet(idx, &mut a);
             assert_eq!(
-                recycled.to_value(),
-                DeviceProfile::fleet_device(idx, &mut b).to_value()
+                serde::to_value(&recycled),
+                serde::to_value(&DeviceProfile::fleet_device(idx, &mut b))
             );
-            assert_eq!(a.to_value(), b.to_value(), "same draws consumed");
+            assert_eq!(
+                serde::to_value(&a),
+                serde::to_value(&b),
+                "same draws consumed"
+            );
         }
     }
 

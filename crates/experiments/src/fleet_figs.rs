@@ -15,7 +15,7 @@ use mvqoe_kernel::TrimLevel;
 use mvqoe_metrics::MetricsSnapshot;
 use mvqoe_sim::stats;
 use mvqoe_study::{simulate_range_from, FleetAggregate, FleetConfig, FleetResults};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Serializer};
 use std::path::{Path, PathBuf};
 
 /// Everything the §3 figures need, extracted from a fleet run.
@@ -157,7 +157,8 @@ const PARTIAL_CHECKPOINT_EVERY: u32 = 1024;
 
 /// One checkpointed shard on disk — complete (`next_user` = shard end) or
 /// partial (the fold got as far as `next_user` before the run died).
-#[derive(Debug, Serialize, Deserialize)]
+/// Written through [`CheckpointOut`], which borrows the aggregate.
+#[derive(Debug, Deserialize)]
 struct ShardCheckpoint {
     /// Layout version; loads reject other versions.
     version: u32,
@@ -172,6 +173,27 @@ struct ShardCheckpoint {
     next_user: u32,
     /// The shard's folded state.
     aggregate: FleetAggregate,
+}
+
+/// A [`ShardCheckpoint`] as written: the same fields in the same order,
+/// with the aggregate borrowed from the running fold instead of cloned.
+struct CheckpointOut<'a> {
+    fingerprint: &'a str,
+    shard: u32,
+    next_user: u32,
+    aggregate: &'a FleetAggregate,
+}
+
+impl Serialize for CheckpointOut<'_> {
+    fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) {
+        s.begin_map(5);
+        s.entry("version", &CHECKPOINT_FORMAT_VERSION);
+        s.entry("fingerprint", self.fingerprint);
+        s.entry("shard", &self.shard);
+        s.entry("next_user", &self.next_user);
+        s.entry("aggregate", self.aggregate);
+        s.end_map();
+    }
 }
 
 fn fingerprint(cfg: &FleetConfig, shards: u32) -> String {
@@ -218,20 +240,19 @@ pub fn store_shard_partial(
     next_user: u32,
     agg: &FleetAggregate,
 ) {
-    let ckpt = ShardCheckpoint {
-        version: CHECKPOINT_FORMAT_VERSION,
-        fingerprint: fingerprint(cfg, shards),
+    let ckpt = CheckpointOut {
+        fingerprint: &fingerprint(cfg, shards),
         shard,
         next_user,
-        aggregate: agg.clone(),
+        aggregate: agg,
     };
-    if let Ok(text) = serde_json::to_string(&ckpt) {
-        // Write-then-rename so a kill mid-write never leaves a torn
-        // checkpoint for the resuming run to trip over.
-        let tmp = dir.join(format!("shard-{shard:05}.tmp"));
-        if std::fs::write(&tmp, text).is_ok() {
-            let _ = std::fs::rename(&tmp, shard_path(dir, shard, shards));
-        }
+    let mut text = String::new();
+    serde_json::to_string_into(&mut text, &ckpt);
+    // Write-then-rename so a kill mid-write never leaves a torn
+    // checkpoint for the resuming run to trip over.
+    let tmp = dir.join(format!("shard-{shard:05}.tmp"));
+    if std::fs::write(&tmp, text).is_ok() {
+        let _ = std::fs::rename(&tmp, shard_path(dir, shard, shards));
     }
 }
 

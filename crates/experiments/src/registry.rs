@@ -479,7 +479,11 @@ pub fn cli(args: &[String]) -> ExitCode {
     } else {
         return usage_error(&format!("unknown experiment {command:?}"));
     };
-    let scale = Scale::from_args(args);
+    let scale = match Scale::from_args(args) {
+        Ok(scale) => scale,
+        Err(why) => return usage_error(&why),
+    };
+    mvqoe_core::set_dense_ticks(scale.dense_ticks);
     let t0 = Instant::now();
     for exp in selected {
         run_one(exp, &scale);

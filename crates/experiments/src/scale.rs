@@ -157,39 +157,66 @@ impl Scale {
         self
     }
 
-    /// Parse from CLI args: `--quick` selects the reduced pass, `--jobs N`
-    /// (or `--jobs=N` / `-j N`) sets the worker-pool size (`--jobs 0` means
-    /// one worker per available CPU), `--fleet-users N` scales the §3
-    /// fleet (rescaling per-user hours to keep the user-hours budget
-    /// unless `--fleet-hours H` pins them), `--rss-limit-mib N` makes the
-    /// run fail if peak RSS exceeds the bound, `--perfetto <dir>` exports
-    /// a showcase trace per experiment, `--metrics` writes per-cell
-    /// metrics snapshot sidecars, `--dense-ticks` disables the
-    /// event-driven time skip (byte-identical outputs, for bisecting), and
-    /// `--profile` records hot-path self-profiling totals into the
-    /// `.meta.json` sidecar.
-    pub fn from_args(args: &[String]) -> Scale {
-        let mut scale = if args.iter().any(|a| a == "--quick" || a == "-q") {
-            Scale::quick()
-        } else {
-            Scale::full()
-        };
-        if let Some(users) = parse_value(args, &["--fleet-users"]) {
+    /// Parse from CLI args (the first is the command and is skipped):
+    /// `--quick` selects the reduced pass, `--jobs N` (or `--jobs=N` /
+    /// `-j N`) sets the worker-pool size (`--jobs 0` means one worker per
+    /// available CPU), `--fleet-users N` scales the §3 fleet (rescaling
+    /// per-user hours to keep the user-hours budget unless `--fleet-hours H`
+    /// pins them), `--rss-limit-mib N` makes the run fail if peak RSS
+    /// exceeds the bound, `--perfetto <dir>` exports a showcase trace per
+    /// experiment, `--metrics` writes per-cell metrics snapshot sidecars,
+    /// `--dense-ticks` disables the event-driven time skip (byte-identical
+    /// outputs, for bisecting), and `--profile` records hot-path
+    /// self-profiling totals into the `.meta.json` sidecar. Every value
+    /// flag takes `--flag v` or `--flag=v`, and the last occurrence wins. An
+    /// unknown argument, a missing value or one that does not parse is an
+    /// error naming the argument.
+    pub fn from_args(args: &[String]) -> Result<Scale, String> {
+        let (mut quick, mut metrics, mut dense_ticks, mut profile) = (false, false, false, false);
+        let (mut users, mut hours, mut rss, mut jobs, mut perfetto) =
+            (None, None, None, None, None);
+        let mut rest = args.iter().skip(1);
+        while let Some(arg) = rest.next() {
+            let (name, inline) = match arg.split_once('=') {
+                Some((name, v)) if name.starts_with('-') => (name, Some(v)),
+                _ => (arg.as_str(), None),
+            };
+            let flag = |on: &mut bool| {
+                if inline.is_some() {
+                    return Err(format!("{name} takes no value: {arg}"));
+                }
+                *on = true;
+                Ok(())
+            };
+            match name {
+                "--quick" | "-q" => flag(&mut quick)?,
+                "--metrics" => flag(&mut metrics)?,
+                "--dense-ticks" => flag(&mut dense_ticks)?,
+                "--profile" => flag(&mut profile)?,
+                "--jobs" | "-j" => jobs = Some(parse(name, &value(name, inline, &mut rest)?)?),
+                "--fleet-users" => users = Some(parse(name, &value(name, inline, &mut rest)?)?),
+                "--fleet-hours" => hours = Some(parse(name, &value(name, inline, &mut rest)?)?),
+                "--rss-limit-mib" => rss = Some(parse(name, &value(name, inline, &mut rest)?)?),
+                "--perfetto" => perfetto = Some(value(name, inline, &mut rest)?),
+                _ => return Err(format!("unknown argument {arg:?}")),
+            }
+        }
+        let mut scale = if quick { Scale::quick() } else { Scale::full() };
+        if let Some(users) = users {
             scale = scale.fleet_users(users);
         }
-        if let Some(hours) = parse_value(args, &["--fleet-hours"]) {
+        if let Some(hours) = hours {
             scale = scale.fleet_hours(hours);
         }
-        scale.rss_limit_mib = parse_value(args, &["--rss-limit-mib"]);
-        if let Some(jobs) = parse_value(args, &["--jobs", "-j"]) {
+        if let Some(jobs) = jobs {
             scale = scale.jobs(jobs);
         }
-        scale.perfetto = parse_flag_value(args, "--perfetto");
-        scale.metrics = args.iter().any(|a| a == "--metrics");
-        scale.dense_ticks = args.iter().any(|a| a == "--dense-ticks");
-        scale.profile = args.iter().any(|a| a == "--profile");
-        mvqoe_core::set_dense_ticks(scale.dense_ticks);
-        scale
+        Ok(scale
+            .rss_limit_mib(rss)
+            .perfetto(perfetto)
+            .metrics(metrics)
+            .dense_ticks(dense_ticks)
+            .profile(profile))
     }
 
     /// Whether any observability output was requested.
@@ -198,40 +225,28 @@ impl Scale {
     }
 }
 
-/// Extract the string value of `--name <v>` / `--name=<v>` (last wins).
-fn parse_flag_value(args: &[String], name: &str) -> Option<String> {
-    let prefix = format!("{name}=");
-    let mut out: Option<String> = None;
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        if arg == name {
-            out = iter.peek().map(|v| v.to_string());
-        } else if let Some(value) = arg.strip_prefix(&prefix) {
-            out = Some(value.to_string());
-        }
+/// Flag `name`'s value: the text after its `=`, else the next argument
+/// unless that is another flag.
+fn value<'a>(
+    name: &str,
+    inline: Option<&str>,
+    rest: &mut impl Iterator<Item = &'a String>,
+) -> Result<String, String> {
+    match inline {
+        Some(v) => Ok(v.to_string()),
+        None => rest
+            .next()
+            .filter(|v| !v.starts_with("--"))
+            .cloned()
+            .ok_or_else(|| format!("{name} needs a value")),
     }
-    out
 }
 
-/// Extract a parsed value for any spelling in `names` (`--flag N` or
-/// `--flag=N`; the last occurrence of any spelling wins).
-fn parse_value<T: std::str::FromStr>(args: &[String], names: &[&str]) -> Option<T> {
-    let mut out: Option<T> = None;
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        for name in names {
-            if arg == name {
-                if let Some(v) = iter.peek().and_then(|v| v.parse().ok()) {
-                    out = Some(v);
-                }
-            } else if let Some(raw) = arg.strip_prefix(&format!("{name}=")) {
-                if let Ok(v) = raw.parse() {
-                    out = Some(v);
-                }
-            }
-        }
-    }
-    out
+/// Parse flag `name`'s value, naming both in the error.
+fn parse<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("invalid value for {name}: {value:?}"))
 }
 
 #[cfg(test)]
@@ -258,38 +273,63 @@ mod tests {
         assert!(q.video_secs < f.video_secs);
     }
 
+    fn parsed(list: &[&str]) -> Result<Scale, String> {
+        Scale::from_args(&to_args(list))
+    }
+
     #[test]
     fn jobs_flag_parses_in_every_form() {
-        let jobs = |args: &[&str]| parse_value::<usize>(&to_args(args), &["--jobs", "-j"]);
-        assert_eq!(jobs(&["exp", "--jobs", "4"]), Some(4));
-        assert_eq!(jobs(&["exp", "--jobs=8", "--quick"]), Some(8));
-        assert_eq!(jobs(&["exp", "-j", "2"]), Some(2));
-        assert_eq!(jobs(&["exp", "--quick"]), None);
+        let jobs = |args: &[&str]| parsed(args).unwrap().jobs;
+        assert_eq!(jobs(&["exp", "--jobs", "4"]), 4);
+        assert_eq!(jobs(&["exp", "--jobs=8", "--quick"]), 8);
+        assert_eq!(jobs(&["exp", "-j", "2"]), 2);
+        assert_eq!(jobs(&["exp", "-j=3"]), 3);
+        assert_eq!(jobs(&["exp", "--quick"]), 1);
         // Later flags win.
-        assert_eq!(jobs(&["exp", "-j", "2", "--jobs", "6"]), Some(6));
+        assert_eq!(jobs(&["exp", "-j", "2", "--jobs", "6"]), 6);
         // --jobs 0 expands to the CPU count (at least one) via the builder.
         assert!(Scale::quick().jobs(0).jobs >= 1);
+        assert!(jobs(&["exp", "--jobs", "0"]) >= 1);
     }
 
     #[test]
     fn perfetto_flag_parses_in_every_form() {
+        let dir = |args: &[&str]| parsed(args).unwrap().perfetto;
+        assert_eq!(dir(&["exp", "--perfetto", "out"]), Some("out".into()));
         assert_eq!(
-            parse_flag_value(&to_args(&["exp", "--perfetto", "out"]), "--perfetto"),
-            Some("out".into())
-        );
-        assert_eq!(
-            parse_flag_value(&to_args(&["exp", "--perfetto=traces", "--quick"]), "--perfetto"),
+            dir(&["exp", "--perfetto=traces", "--quick"]),
             Some("traces".into())
         );
-        assert_eq!(parse_flag_value(&to_args(&["exp", "--quick"]), "--perfetto"), None);
+        assert_eq!(dir(&["exp", "--quick"]), None);
     }
 
     #[test]
     fn fleet_flags_parse() {
-        let args = to_args(&["exp", "--fleet-users", "200000", "--rss-limit-mib=512"]);
-        assert_eq!(parse_value::<u32>(&args, &["--fleet-users"]), Some(200_000));
-        assert_eq!(parse_value::<u64>(&args, &["--rss-limit-mib"]), Some(512));
-        assert_eq!(parse_value::<f64>(&args, &["--fleet-hours"]), None);
+        let s = parsed(&["exp", "--fleet-users", "200000", "--rss-limit-mib=512"]).unwrap();
+        assert_eq!(s.fleet_users, 200_000);
+        assert_eq!(s.rss_limit_mib, Some(512));
+        assert_eq!(
+            s.fleet_hours,
+            Scale::full().fleet_users(200_000).fleet_hours
+        );
+        let pinned = parsed(&["exp", "--fleet-hours=2.5", "--fleet-users", "1000"]).unwrap();
+        assert_eq!((pinned.fleet_users, pinned.fleet_hours), (1000, 2.5));
+        let flags = parsed(&["all", "-q", "--metrics", "--dense-ticks", "--profile"]).unwrap();
+        assert!(flags.metrics && flags.dense_ticks && flags.profile);
+        assert_eq!(flags.runs, Scale::quick().runs);
+    }
+
+    #[test]
+    fn unknown_flags_and_bad_values_are_rejected() {
+        let err = |args: &[&str]| parsed(args).unwrap_err();
+        assert!(err(&["fig10", "--quik"]).contains("--quik"));
+        assert!(err(&["fig10", "--jobs", "banana"]).contains("banana"));
+        assert!(err(&["fig10", "--jobs=banana"]).contains("--jobs"));
+        assert!(err(&["fig10", "--perfetto"]).contains("--perfetto needs a value"));
+        assert!(err(&["fig10", "--perfetto", "--quick"]).contains("--perfetto needs a value"));
+        assert!(err(&["fig10", "-j"]).contains("-j needs a value"));
+        assert!(err(&["fig10", "--quick=yes"]).contains("takes no value"));
+        assert!(err(&["fig10", "extra"]).contains("extra"));
     }
 
     #[test]

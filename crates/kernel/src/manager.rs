@@ -1295,7 +1295,10 @@ mod tests {
 
         let cfg = MemConfig::for_ram_mib(2048);
         m.reset(cfg.clone());
-        assert_eq!(m.to_value(), MemoryManager::new(cfg).to_value());
+        assert_eq!(
+            serde::to_value(&m),
+            serde::to_value(&MemoryManager::new(cfg))
+        );
     }
 
     #[test]

@@ -9,8 +9,7 @@
 
 use crate::pages::Pages;
 use mvqoe_sim::SimTime;
-use serde::ser::Value;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
 
 /// Identifier for a simulated process.
@@ -94,14 +93,14 @@ impl PartialEq<str> for ProcName {
 // Names serialize as the materialized string, so snapshots are unchanged by
 // the interning and round-trip through the `Owned` variant.
 impl Serialize for ProcName {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) {
+        s.str(&self.to_string());
     }
 }
 
 impl Deserialize for ProcName {
-    fn from_value(v: &Value) -> Result<Self, serde::de::Error> {
-        Ok(ProcName::Owned(String::from_value(v)?))
+    fn deserialize<D: Deserializer + ?Sized>(d: &mut D) -> Result<Self, serde::de::Error> {
+        String::deserialize(d).map(ProcName::Owned)
     }
 }
 
@@ -338,10 +337,10 @@ mod tests {
             prefix: "pre.app.r",
             at: SimTime::from_secs(7),
         };
-        let v = t.to_value();
+        let v = serde::to_value(&t);
         assert_eq!(v.as_str(), Some("pre.app.r@7.000s"));
-        let back = ProcName::from_value(&v).unwrap();
+        let back: ProcName = serde::from_value(&v).unwrap();
         assert_eq!(back, ProcName::Owned("pre.app.r@7.000s".to_string()));
-        assert_eq!(back.to_value(), v);
+        assert_eq!(serde::to_value(&back), v);
     }
 }

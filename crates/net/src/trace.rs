@@ -372,8 +372,8 @@ mod tests {
     #[test]
     fn trace_round_trips_through_serde() {
         let tr = LinkTrace::train_tunnel(5, 200.0);
-        let v = tr.to_value();
-        let back = LinkTrace::from_value(&v).unwrap();
+        let v = serde::to_value(&tr);
+        let back = serde::from_value::<LinkTrace>(&v).unwrap();
         assert_eq!(tr, back);
     }
 }

@@ -8,8 +8,7 @@
 
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::ser::Value;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 /// Golden-ratio increment used by splitmix64.
 const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -211,27 +210,35 @@ impl SimRng {
 // so a restored generator continues draw-for-draw where the original left
 // off (see `ChaCha8Rng::state`/`from_state`).
 impl Serialize for SimRng {
-    fn to_value(&self) -> Value {
+    fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) {
         let (key, counter, used) = self.inner.state();
-        Value::Map(vec![
-            ("key".into(), key.to_value()),
-            ("counter".into(), counter.to_value()),
-            ("used".into(), used.to_value()),
-        ])
+        s.begin_map(3);
+        s.entry("key", &key);
+        s.entry("counter", &counter);
+        s.entry("used", &used);
+        s.end_map();
     }
 }
 
 impl Deserialize for SimRng {
-    fn from_value(v: &Value) -> Result<Self, serde::de::Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| serde::de::Error::custom(format!("SimRng missing field {name}")))
-        };
-        let key = <[u32; 8]>::from_value(field("key")?)?;
-        let counter = u64::from_value(field("counter")?)?;
-        let used = u8::from_value(field("used")?)?;
+    fn deserialize<D: Deserializer + ?Sized>(d: &mut D) -> Result<Self, serde::de::Error> {
+        use serde::de::{set, take};
+        let (mut key, mut counter, mut used) = (None, None, None);
+        d.begin_map()?;
+        while let Some(k) = d.next_key()? {
+            match k {
+                "key" => set(&mut key, d, "key")?,
+                "counter" => set(&mut counter, d, "counter")?,
+                "used" => set(&mut used, d, "used")?,
+                _ => d.skip()?,
+            }
+        }
         Ok(SimRng {
-            inner: ChaCha8Rng::from_state(key, counter, used),
+            inner: ChaCha8Rng::from_state(
+                take(key, "key", "SimRng")?,
+                take(counter, "counter", "SimRng")?,
+                take(used, "used", "SimRng")?,
+            ),
         })
     }
 }
@@ -359,7 +366,7 @@ mod tests {
         a.next_u32();
         a.unit();
         a.normal(3.0, 1.0);
-        let mut b = SimRng::from_value(&a.to_value()).expect("round trip");
+        let mut b = serde::from_value::<SimRng>(&serde::to_value(&a)).expect("round trip");
         for _ in 0..64 {
             assert_eq!(a.next_u64(), b.next_u64());
         }

@@ -24,8 +24,7 @@ use crate::fleet_study::FleetConfig;
 use crate::observation::{DeviceObservation, Hist};
 use mvqoe_kernel::TrimLevel;
 use mvqoe_workload::UsagePattern;
-use serde::ser::{get_field, Value};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::collections::BTreeMap;
 
 /// Most devices whose full digest is retained. Past this, per-device
@@ -728,61 +727,71 @@ fn add_elementwise(a: &mut Vec<u64>, b: &[u64]) {
 // attribution is off. Field order mirrors declaration order, exactly as
 // the derive would emit.
 impl Serialize for FleetAggregate {
-    fn to_value(&self) -> Value {
-        let mut m = vec![
-            ("recruited".to_string(), self.recruited.to_value()),
-            ("kept".to_string(), self.kept.to_value()),
-            ("hours".to_string(), self.hours.to_value()),
-            ("digests".to_string(), self.digests.to_value()),
-            ("fig1".to_string(), self.fig1.to_value()),
-            ("counters".to_string(), self.counters.to_value()),
-            ("sketches".to_string(), self.sketches.to_value()),
-            ("top".to_string(), self.top.to_value()),
-            ("bands".to_string(), self.bands.to_value()),
-        ];
-        if self.has_attribution() {
-            m.push((
-                "attr_rebuffer_us".to_string(),
-                self.attr_rebuffer_us.to_value(),
-            ));
-            m.push(("attr_drops".to_string(), self.attr_drops.to_value()));
+    fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) {
+        let attributed = self.has_attribution();
+        s.begin_map(if attributed { 11 } else { 9 });
+        s.entry("recruited", &self.recruited);
+        s.entry("kept", &self.kept);
+        s.entry("hours", &self.hours);
+        s.entry("digests", &self.digests);
+        s.entry("fig1", &self.fig1);
+        s.entry("counters", &self.counters);
+        s.entry("sketches", &self.sketches);
+        s.entry("top", &self.top);
+        s.entry("bands", &self.bands);
+        if attributed {
+            s.entry("attr_rebuffer_us", &self.attr_rebuffer_us);
+            s.entry("attr_drops", &self.attr_drops);
         }
-        Value::Map(m)
+        s.end_map();
     }
 }
 
 impl Deserialize for FleetAggregate {
-    fn from_value(v: &Value) -> Result<Self, serde::de::Error> {
-        let entries = v
-            .as_map()
-            .ok_or_else(|| serde::de::Error::custom("expected map for FleetAggregate"))?;
-        fn req<'a>(
-            entries: &'a [(String, Value)],
-            name: &str,
-        ) -> Result<&'a Value, serde::de::Error> {
-            get_field(entries, name)
-                .ok_or_else(|| serde::de::Error::custom(format!("missing field {name}")))
-        }
-        // The attribution fields default to empty when absent, so
-        // pre-attribution serialized aggregates keep loading.
-        let opt_vec = |name: &str| -> Result<Vec<u64>, serde::de::Error> {
-            match get_field(entries, name) {
-                Some(v) => Vec::<u64>::from_value(v),
-                None => Ok(Vec::new()),
+    fn deserialize<D: Deserializer + ?Sized>(d: &mut D) -> Result<Self, serde::de::Error> {
+        use serde::de::{set, take};
+        let mut recruited = None;
+        let mut kept = None;
+        let mut hours = None;
+        let mut digests = None;
+        let mut fig1 = None;
+        let mut counters = None;
+        let mut sketches = None;
+        let mut top = None;
+        let mut bands = None;
+        let mut attr_rebuffer_us = None;
+        let mut attr_drops = None;
+        d.begin_map()?;
+        while let Some(k) = d.next_key()? {
+            match k {
+                "recruited" => set(&mut recruited, d, "recruited")?,
+                "kept" => set(&mut kept, d, "kept")?,
+                "hours" => set(&mut hours, d, "hours")?,
+                "digests" => set(&mut digests, d, "digests")?,
+                "fig1" => set(&mut fig1, d, "fig1")?,
+                "counters" => set(&mut counters, d, "counters")?,
+                "sketches" => set(&mut sketches, d, "sketches")?,
+                "top" => set(&mut top, d, "top")?,
+                "bands" => set(&mut bands, d, "bands")?,
+                "attr_rebuffer_us" => set(&mut attr_rebuffer_us, d, "attr_rebuffer_us")?,
+                "attr_drops" => set(&mut attr_drops, d, "attr_drops")?,
+                _ => d.skip()?,
             }
-        };
+        }
         Ok(FleetAggregate {
-            recruited: u32::from_value(req(entries, "recruited")?)?,
-            kept: u64::from_value(req(entries, "kept")?)?,
-            hours: Vec::from_value(req(entries, "hours")?)?,
-            digests: Vec::from_value(req(entries, "digests")?)?,
-            fig1: <[[u32; 5]; 5]>::from_value(req(entries, "fig1")?)?,
-            counters: FractionCounters::from_value(req(entries, "counters")?)?,
-            sketches: Sketches::from_value(req(entries, "sketches")?)?,
-            top: Vec::from_value(req(entries, "top")?)?,
-            bands: Vec::from_value(req(entries, "bands")?)?,
-            attr_rebuffer_us: opt_vec("attr_rebuffer_us")?,
-            attr_drops: opt_vec("attr_drops")?,
+            recruited: take(recruited, "recruited", "FleetAggregate")?,
+            kept: take(kept, "kept", "FleetAggregate")?,
+            hours: take(hours, "hours", "FleetAggregate")?,
+            digests: take(digests, "digests", "FleetAggregate")?,
+            fig1: take(fig1, "fig1", "FleetAggregate")?,
+            counters: take(counters, "counters", "FleetAggregate")?,
+            sketches: take(sketches, "sketches", "FleetAggregate")?,
+            top: take(top, "top", "FleetAggregate")?,
+            bands: take(bands, "bands", "FleetAggregate")?,
+            // The attribution fields default to empty when absent, so
+            // pre-attribution serialized aggregates keep loading.
+            attr_rebuffer_us: attr_rebuffer_us.unwrap_or_default(),
+            attr_drops: attr_drops.unwrap_or_default(),
         })
     }
 }
@@ -880,20 +889,20 @@ mod tests {
     #[test]
     fn attribution_fields_stay_absent_until_attributed() {
         let agg = FleetAggregate::new();
-        let v = agg.to_value();
+        let v = serde::to_value(&agg);
         assert!(
             v.get("attr_rebuffer_us").is_none() && v.get("attr_drops").is_none(),
             "zero-attribution aggregates must serialize without attr keys"
         );
         // Absent fields load as empty — pre-attribution artifacts keep
         // deserializing.
-        let back = FleetAggregate::from_value(&v).unwrap();
+        let back = serde::from_value::<FleetAggregate>(&v).unwrap();
         assert!(!back.has_attribution());
 
         let mut agg = FleetAggregate::new();
         agg.absorb_attribution(&[5, 0, 0], &[0, 2]);
-        let v = agg.to_value();
-        let back = FleetAggregate::from_value(&v).unwrap();
+        let v = serde::to_value(&agg);
+        let back = serde::from_value::<FleetAggregate>(&v).unwrap();
         assert_eq!(back.attr_rebuffer_us, vec![5, 0, 0]);
         assert_eq!(back.attr_drops, vec![0, 2]);
         assert!(back.has_attribution());

@@ -4,7 +4,57 @@
 //! after each response, which keeps this to a request-line parser and a
 //! response writer.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
+
+/// The longest line the server reads: an ingest frame, a request line or a
+/// header. The longest frame a generator here emits, a session's full
+/// attribution report, is far shorter.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// What [`read_line`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Line {
+    /// The stream ended before another byte.
+    Eof,
+    /// A line of at most [`MAX_LINE_BYTES`], now in the buffer.
+    Fits,
+    /// A longer line, consumed through its newline but not kept.
+    TooLong,
+}
+
+/// Read one `\n`-terminated line (the last may lack it) into `line`, newline
+/// included, holding at most [`MAX_LINE_BYTES`] of it in memory.
+pub fn read_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> std::io::Result<Line> {
+    line.clear();
+    let cap = MAX_LINE_BYTES as u64 + 1;
+    if reader.by_ref().take(cap).read_until(b'\n', line)? == 0 {
+        return Ok(Line::Eof);
+    }
+    if line.len() <= MAX_LINE_BYTES || line.ends_with(b"\n") {
+        return Ok(Line::Fits);
+    }
+    line.clear();
+    loop {
+        let buf = reader.fill_buf()?;
+        if buf.is_empty() {
+            return Ok(Line::TooLong);
+        }
+        match buf.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                reader.consume(i + 1);
+                return Ok(Line::TooLong);
+            }
+            None => {
+                let n = buf.len();
+                reader.consume(n);
+            }
+        }
+    }
+}
+
+fn invalid(why: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, why)
+}
 
 /// The parsed request line (headers are drained and discarded — no
 /// endpoint needs them).
@@ -34,26 +84,27 @@ impl Request {
 
 /// Read one HTTP request head off `reader`: parse the request line, drain
 /// headers to the blank line. `Ok(None)` means the peer closed before
-/// sending anything.
+/// sending anything. A request line or header longer than
+/// [`MAX_LINE_BYTES`] is an error.
 pub fn read_request(reader: &mut impl BufRead) -> std::io::Result<Option<Request>> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Ok(None);
+    let mut line = Vec::new();
+    match read_line(reader, &mut line)? {
+        Line::Eof => return Ok(None),
+        Line::TooLong => return Err(invalid("request line too long".into())),
+        Line::Fits => {}
     }
-    let mut parts = line.split_whitespace();
+    let text = String::from_utf8_lossy(&line);
+    let mut parts = text.split_whitespace();
     let (method, path) = match (parts.next(), parts.next()) {
         (Some(m), Some(p)) => (m.to_string(), p.to_string()),
-        _ => {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("malformed request line: {line:?}"),
-            ))
-        }
+        _ => return Err(invalid(format!("malformed request line: {text:?}"))),
     };
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 || header == "\r\n" || header == "\n" {
-            break;
+        match read_line(reader, &mut line)? {
+            Line::Eof => break,
+            Line::TooLong => return Err(invalid("header too long".into())),
+            Line::Fits if line == b"\r\n" || line == b"\n" => break,
+            Line::Fits => {}
         }
     }
     Ok(Some(Request { method, path }))

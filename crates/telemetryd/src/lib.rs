@@ -24,6 +24,8 @@
 //! a device past the `(hours × 3600) as u64` samples its `Begin` declared
 //! (a `Begin` may declare at most the fleet config's `hours_hi`).
 //! Ingest acks and `reports_total` count frames, not device-seconds.
+//! A line that is not UTF-8, not a report, or longer than
+//! [`http::MAX_LINE_BYTES`] is one parse failure, and its stream goes on.
 //!
 //! The aggregate's merge algebra is associative and order-insensitive over
 //! disjoint device sets, so the service's final aggregate is byte-identical

@@ -21,32 +21,42 @@ fn io_err(e: impl ToString) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::Other, e.to_string())
 }
 
-/// Open an ingest connection, run `upload` against its buffered write
-/// half, then half-close and wait for the server's [`IngestAck`] line.
+/// An ingest connection's write half: each report is encoded into one
+/// reused line buffer, and the lines go out through 64 KiB of buffering,
+/// which keeps them off the syscall path.
+struct Uplink<'a> {
+    out: BufWriter<&'a TcpStream>,
+    line: String,
+}
+
+impl Uplink<'_> {
+    fn send(&mut self, report: &DeviceReport) -> std::io::Result<()> {
+        self.line.clear();
+        serde_json::to_string_into(&mut self.line, report);
+        self.line.push('\n');
+        self.out.write_all(self.line.as_bytes())
+    }
+}
+
+/// Open an ingest connection, run `upload` against its write half, then
+/// half-close and wait for the server's [`IngestAck`] line.
 fn with_ingest_stream(
     addr: SocketAddr,
-    upload: impl FnOnce(&mut BufWriter<&TcpStream>) -> std::io::Result<()>,
+    upload: impl FnOnce(&mut Uplink<'_>) -> std::io::Result<()>,
 ) -> std::io::Result<IngestAck> {
     let stream = TcpStream::connect(addr)?;
     {
-        // 64 KiB of buffering keeps the 1 Hz sample lines off the syscall
-        // path; one flush per upload.
-        let mut writer = BufWriter::with_capacity(64 * 1024, &stream);
-        upload(&mut writer)?;
-        writer.flush()?;
+        let mut uplink = Uplink {
+            out: BufWriter::with_capacity(64 * 1024, &stream),
+            line: String::new(),
+        };
+        upload(&mut uplink)?;
+        uplink.out.flush()?;
     }
     stream.shutdown(Shutdown::Write)?;
     let mut ack_line = String::new();
     BufReader::new(&stream).read_line(&mut ack_line)?;
     serde_json::from_str(ack_line.trim_end()).map_err(io_err)
-}
-
-fn write_report(
-    writer: &mut BufWriter<&TcpStream>,
-    report: &DeviceReport,
-) -> std::io::Result<()> {
-    let line = serde_json::to_string(report).map_err(io_err)?;
-    writeln!(writer, "{line}")
 }
 
 /// Coalesce consecutive 1 Hz samples into maximal runs of the same state:
@@ -74,32 +84,26 @@ pub fn run_fleet_loadgen(
     cfg: &FleetConfig,
     users: Range<u32>,
 ) -> std::io::Result<IngestAck> {
-    with_ingest_stream(addr, |writer| {
+    with_ingest_stream(addr, |uplink| {
         for i in users {
             let mut st = start_user(cfg, i);
-            write_report(
-                writer,
-                &DeviceReport::Begin {
-                    device: i,
-                    name: st.user.device.name.clone(),
-                    manufacturer: st.user.device.manufacturer.clone(),
-                    ram_mib: st.user.device.ram_mib,
-                    pattern: st.user.pattern,
-                    hours: st.hours,
-                },
-            )?;
+            uplink.send(&DeviceReport::Begin {
+                device: i,
+                name: st.user.device.name.clone(),
+                manufacturer: st.user.device.manufacturer.clone(),
+                ram_mib: st.user.device.ram_mib,
+                pattern: st.user.pattern,
+                hours: st.hours,
+            })?;
             let steps = (0..st.seconds()).map(|s| st.user.step_1s(SimTime::from_secs(s)));
             for (sample, count) in sample_runs(steps) {
-                write_report(
-                    writer,
-                    &DeviceReport::Run {
-                        device: i,
-                        sample,
-                        count,
-                    },
-                )?;
+                uplink.send(&DeviceReport::Run {
+                    device: i,
+                    sample,
+                    count,
+                })?;
             }
-            write_report(writer, &DeviceReport::End { device: i })?;
+            uplink.send(&DeviceReport::End { device: i })?;
         }
         Ok(())
     })
@@ -113,7 +117,7 @@ pub fn run_session_loadgen(
     device_id: u32,
 ) -> std::io::Result<IngestAck> {
     cfg.record_trace = false;
-    with_ingest_stream(addr, |writer| {
+    with_ingest_stream(addr, |uplink| {
         let mut session = Session::start(cfg);
         let mut abr = BufferBased::new(Fps::F30);
         let mut upload_err = None;
@@ -125,7 +129,7 @@ pub fn run_session_loadgen(
                 device: device_id,
                 report: *report,
             };
-            if let Err(e) = write_report(writer, &line) {
+            if let Err(e) = uplink.send(&line) {
                 upload_err = Some(e);
             }
         };

@@ -10,11 +10,13 @@
 //! scrapes, so thread-per-connection with `std::net` is the right size —
 //! no async runtime exists in the offline build environment anyway.
 
-use crate::http::{read_request, respond, Request, APPLICATION_JSON, PROMETHEUS_TEXT};
+use crate::http::{
+    read_line, read_request, respond, Line, Request, APPLICATION_JSON, PROMETHEUS_TEXT,
+};
 use crate::report::{DeviceReport, IngestAck};
 use crate::state::ServiceState;
 use mvqoe_study::FleetAggregate;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -117,47 +119,60 @@ fn handle_connection(stream: TcpStream, state: Arc<ServiceState>) {
 }
 
 /// Drain one NDJSON ingest stream, apply every report, and answer with a
-/// one-line [`IngestAck`] once the peer half-closes its write side.
+/// one-line [`IngestAck`] once the peer half-closes its write side. The
+/// tallies not yet flushed into the registry are flushed however the
+/// stream ends.
 fn handle_ingest(stream: TcpStream, state: &ServiceState) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
     let mut ack = IngestAck::default();
-    let mut pending_ok = 0u64;
-    let mut pending_bad = 0u64;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            break;
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let applied = serde_json::from_str::<DeviceReport>(line.trim_end())
-            .map_err(|e| e.to_string())
-            .and_then(|report| state.apply(&report));
-        match applied {
-            Ok(folded) => {
-                ack.accepted += 1;
-                ack.folded += folded as u64;
-                pending_ok += 1;
-            }
-            Err(_) => {
-                ack.parse_failures += 1;
-                pending_bad += 1;
-            }
-        }
-        if pending_ok + pending_bad >= INGEST_FLUSH_EVERY {
-            state.add_ingest(pending_ok, pending_bad);
-            pending_ok = 0;
-            pending_bad = 0;
-        }
-    }
-    state.add_ingest(pending_ok, pending_bad);
+    let mut pending = (0u64, 0u64);
+    let read = ingest_frames(&stream, state, &mut ack, &mut pending);
+    state.add_ingest(pending.0, pending.1);
+    read?;
     let mut writer = stream;
     let body = serde_json::to_string(&ack)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::Other, e.to_string()))?;
     writeln!(writer, "{body}")?;
     writer.flush()
+}
+
+/// Apply every frame of the stream, counting each non-blank line once in
+/// `ack` and in the `(accepted, failed)` tallies `pending`, which are
+/// flushed every [`INGEST_FLUSH_EVERY`] lines. A line that does not parse
+/// (not UTF-8 or JSON, or longer than the line cap), or that the protocol
+/// rejects, is one parse failure, and the stream goes on.
+fn ingest_frames(
+    stream: &TcpStream,
+    state: &ServiceState,
+    ack: &mut IngestAck,
+    pending: &mut (u64, u64),
+) -> std::io::Result<()> {
+    let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
+    loop {
+        let applied = match read_line(&mut reader, &mut line)? {
+            Line::Eof => return Ok(()),
+            Line::Fits if line.iter().all(u8::is_ascii_whitespace) => continue,
+            Line::Fits => serde_json::from_slice::<DeviceReport>(&line)
+                .map_err(|e| e.to_string())
+                .and_then(|report| state.apply(&report)),
+            Line::TooLong => Err("frame too long".to_string()),
+        };
+        match applied {
+            Ok(folded) => {
+                ack.accepted += 1;
+                ack.folded += folded as u64;
+                pending.0 += 1;
+            }
+            Err(_) => {
+                ack.parse_failures += 1;
+                pending.1 += 1;
+            }
+        }
+        if pending.0 + pending.1 >= INGEST_FLUSH_EVERY {
+            state.add_ingest(pending.0, pending.1);
+            *pending = (0, 0);
+        }
+    }
 }
 
 /// Answer one HTTP request and close.

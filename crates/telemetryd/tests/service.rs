@@ -5,6 +5,7 @@
 use mvqoe_metrics::{prometheus, SharedRegistry};
 use mvqoe_sim::SimTime;
 use mvqoe_study::{simulate_range, start_user, FleetConfig};
+use mvqoe_telemetryd::http::MAX_LINE_BYTES;
 use mvqoe_telemetryd::{
     run_fleet_loadgen, run_session_loadgen, DeviceReport, Headline, ServiceState, TelemetryServer,
     TopEntry,
@@ -174,11 +175,13 @@ fn malformed_and_protocol_violating_lines_count_as_parse_failures() {
     // that never began; a run for a device that never began.
     writeln!(w, "{{not json").expect("write");
     writeln!(w, "{{\"Unknown\":{{}}}}").expect("write");
-    writeln!(
-        w,
-        "{{\"End\":{{\"device\":7}}}}"
-    )
-    .expect("write");
+    writeln!(w, "{{\"End\":{{\"device\":7}}}}").expect("write");
+    // A line that is not UTF-8, and one longer than the line cap: each is
+    // one failure, and the stream goes on.
+    w.write_all(b"{\"End\":{\"device\":\xff}}\n")
+        .expect("write");
+    let long = format!("{{\"Unknown\":\"{}\"}}\n", "x".repeat(MAX_LINE_BYTES));
+    w.write_all(long.as_bytes()).expect("write");
     writeln!(w, "{}", run(7, 1)).expect("write");
     // The over-long `Begin` and the run it would have allowed.
     writeln!(w, "{}", begins[1]).expect("write");
@@ -218,11 +221,11 @@ fn malformed_and_protocol_violating_lines_count_as_parse_failures() {
         serde_json::from_str(ack.trim_end()).expect("ack JSON");
     assert_eq!(ack.accepted, 3, "Begin, the 36-second run and End");
     assert_eq!(ack.folded, 1);
-    assert_eq!(ack.parse_failures, 11);
+    assert_eq!(ack.parse_failures, 13);
 
     let (_, body) = http_get(addr, "/query/headline");
     let headline: Headline = serde_json::from_str(&body).expect("headline JSON");
-    assert_eq!(headline.parse_failures_total, 11);
+    assert_eq!(headline.parse_failures_total, 13);
     assert_eq!(headline.recruited, 1);
     let served = server.shutdown();
     assert_eq!(served.hours, vec![(0, 0.01)]);

@@ -1,6 +1,7 @@
 //! The committed artifacts pass `mvqoe lint`, and every rule it enforces
 //! rejects a copy of a real artifact broken in just the way the rule
-//! guards against.
+//! guards against. The JSON codec reproduces every committed artifact byte
+//! for byte when it reads one and writes it back.
 //!
 //! The checked files are every `results/*.json` (the data artifacts whose
 //! registry entry has rules, every `.meta.json` sidecar and
@@ -84,6 +85,50 @@ fn committed_artifacts_pass_their_checks() {
             "{checked} was not checked: {ok:?}"
         );
     }
+}
+
+/// Every committed `results/*.json`, as text.
+fn committed() -> Vec<(String, String)> {
+    let mut files: Vec<(String, String)> = std::fs::read_dir(results())
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .map(|p| {
+            let name = p.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read_to_string(&p).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn committed_artifacts_round_trip_through_value() {
+    let files = committed();
+    for (name, text) in &files {
+        let v: Value = serde_json::from_str(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let again = serde_json::to_string_pretty(&v).unwrap();
+        assert!(again == *text, "{name} does not round-trip through Value");
+    }
+    assert!(files.len() >= 43, "{} artifacts", files.len());
+}
+
+#[test]
+fn typed_artifacts_round_trip_through_their_structs() {
+    fn same<T: serde::Serialize + serde::Deserialize>(file: &str) {
+        let text = std::fs::read_to_string(results().join(file)).unwrap();
+        let typed: T = serde_json::from_str(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
+        let again = serde_json::to_string_pretty(&typed).unwrap();
+        assert!(
+            again == text,
+            "{file} does not round-trip through its struct"
+        );
+    }
+    use mvqoe_experiments::{arena, blame, counterfactual, serve};
+    same::<counterfactual::Counterfactual>("counterfactual.json");
+    same::<arena::Arena>("arena.json");
+    same::<blame::Blame>("attribution.json");
+    same::<serve::ServeResults>("service.json");
 }
 
 #[test]

@@ -1,52 +1,50 @@
-//! The per-tick hot path must not allocate once buffers are warm.
+//! The per-tick hot path and the ingest wire codec must not allocate once
+//! their buffers are warm.
 //!
 //! The event-driven engine reuses machine-owned scratch (`StepOutputs`,
-//! scheduler selection buffers, drain targets); this test proves the claim
-//! with a counting global allocator rather than asserting it in prose. The
-//! counter only counts the measuring thread: libtest's harness thread
-//! allocates lazily (e.g. its completion-channel context on first blocking
-//! recv), and on a loaded single-core host that init can land inside any
-//! counted window. One test function only, so windows never overlap.
+//! scheduler selection buffers, drain targets), and the codec writes into a
+//! caller-owned buffer and reads keys and strings borrowed from the input;
+//! these tests prove the claims with a counting global allocator rather
+//! than asserting them in prose. Each thread counts only its own
+//! allocations, while it measures: libtest's harness thread allocates
+//! lazily (e.g. its completion-channel context on first blocking recv), and
+//! on a loaded single-core host that init can land inside any counted
+//! window, as can another test running on its own thread.
 
 use mvqoe_device::{DeviceProfile, Machine, StepOutputs};
 use mvqoe_sim::{SimDuration, SimRng};
+use mvqoe_telemetryd::DeviceReport;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// const-initialized so reading it from inside the allocator never itself
-// allocates (no lazy TLS init on the measuring thread).
+// const-initialized so touching them from inside the allocator never
+// itself allocates (no lazy TLS init on the measuring thread).
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn counting_here() -> bool {
-    COUNTING.try_with(|c| c.get()).unwrap_or(false)
+fn count_one() {
+    if COUNTING.try_with(|c| c.get()).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counting_here() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if counting_here() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counting_here() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -60,11 +58,11 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Count heap allocations made by this thread during `f`.
 fn count_allocs(f: impl FnOnce()) -> u64 {
-    ALLOCS.store(0, Ordering::SeqCst);
+    ALLOCS.with(|n| n.set(0));
     COUNTING.with(|c| c.set(true));
     f();
     COUNTING.with(|c| c.set(false));
-    ALLOCS.load(Ordering::SeqCst)
+    ALLOCS.with(|n| n.get())
 }
 
 #[test]
@@ -99,8 +97,7 @@ fn warm_machine_steps_without_allocating() {
     // form regrows its scratch (selection buffers, drain targets are
     // deliberately *not* serialized) during warm-up and then holds the
     // same zero-allocation guarantee on both engines.
-    use serde::{Deserialize, Serialize};
-    let mut r = Machine::from_value(&m.to_value()).expect("machine round-trips");
+    let mut r = serde::from_value::<Machine>(&serde::to_value(&m)).expect("machine round-trips");
     r.sched.set_record_events(false);
     r.run_idle(SimDuration::from_secs(2));
     let n = count_allocs(|| r.run_idle(SimDuration::from_secs(2)));
@@ -114,4 +111,35 @@ fn warm_machine_steps_without_allocating() {
         }
     });
     assert_eq!(n, 0, "restored step_into allocated {n} times after warm-up");
+}
+
+#[test]
+fn warm_run_frames_encode_and_parse_without_allocating() {
+    // A frame as the load generator sends it: escape-free keys and a
+    // string enum, integers and floats that need every digit.
+    let line = r#"{"Run":{"device":3,"sample":{"at":74000000,"available_mib":1113.7265625,"utilization_pct":63.745880126953125,"trim":"Moderate","interactive":true,"n_services":14},"count":48}}"#;
+    let frame: DeviceReport = serde_json::from_str(line).expect("the frame parses");
+    let mut buf = String::new();
+    serde_json::to_string_into(&mut buf, &frame);
+    assert_eq!(buf, line, "the frame re-encodes to the same bytes");
+
+    let n = count_allocs(|| {
+        for _ in 0..1_000 {
+            buf.clear();
+            serde_json::to_string_into(&mut buf, std::hint::black_box(&frame));
+        }
+    });
+    assert_eq!(
+        n, 0,
+        "encoding a Run frame allocated {n} times after warm-up"
+    );
+
+    let n = count_allocs(|| {
+        for _ in 0..1_000 {
+            let parsed: DeviceReport =
+                serde_json::from_slice(std::hint::black_box(line.as_bytes())).expect("parses");
+            std::hint::black_box(parsed);
+        }
+    });
+    assert_eq!(n, 0, "parsing a Run line allocated {n} times");
 }
