@@ -33,7 +33,7 @@ impl PressureMode {
 }
 
 /// Live pressure state carried through a session.
-#[derive(Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub enum PressureDriver {
     /// Nothing to drive.
     None,

@@ -9,7 +9,10 @@
 //! version so stale snapshots are *rejected* rather than misinterpreted —
 //! the same policy as stale fleet fingerprints.
 
-use crate::session::SessionConfig;
+use crate::pressure::PressureDriver;
+use crate::session::{SessionConfig, SessionState};
+use mvqoe_device::Machine;
+use mvqoe_net::SegmentServer;
 use mvqoe_sim::SimTime;
 use serde::ser::Value;
 use serde::{Deserialize, Serialize};
@@ -30,10 +33,10 @@ pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
 
 /// A complete, versioned session snapshot.
 ///
-/// The substrate states are held as pre-serialized [`Value`]s (a machine
-/// is not cloneable; values are), which also makes one snapshot cheaply
-/// shareable across the N branches forked from it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The substrate states are typed copies of the session's own: taking a
+/// snapshot clones them, and each branch restored from it clones them
+/// again, so one snapshot serves every branch forked from it.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Snapshot {
     /// Layout version; loads reject mismatches with
     /// [`SnapshotError::StaleVersion`].
@@ -42,18 +45,29 @@ pub struct Snapshot {
     pub at: SimTime,
     /// The configuration the snapshotted session was started with.
     pub cfg: SessionConfig,
-    /// Serialized [`mvqoe_device::Machine`].
-    pub(crate) machine: Value,
-    /// Serialized [`crate::pressure::PressureDriver`].
-    pub(crate) pressure: Value,
-    /// Serialized [`mvqoe_net::SegmentServer`].
-    pub(crate) server: Value,
-    /// Serialized client session state.
-    pub(crate) state: Value,
+    /// The session's machine.
+    pub(crate) machine: Machine,
+    /// The session's pressure driver.
+    pub(crate) pressure: PressureDriver,
+    /// The session's segment server.
+    pub(crate) server: SegmentServer,
+    /// The client session state.
+    pub(crate) state: SessionState,
     /// [`mvqoe_abr::Abr::name`] of the policy driving the session.
     pub abr_kind: String,
     /// The policy's [`mvqoe_abr::Abr::state_value`].
     pub(crate) abr_state: Value,
+}
+
+impl fmt::Debug for Snapshot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Snapshot")
+            .field("format_version", &self.format_version)
+            .field("at", &self.at)
+            .field("cfg", &self.cfg)
+            .field("abr_kind", &self.abr_kind)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Why a snapshot could not be written or read back.

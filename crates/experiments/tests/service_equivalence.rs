@@ -75,4 +75,11 @@ fn the_serve_experiment_reports_equivalence_end_to_end() {
         results.scrape.contains("telemetryd_reports_total"),
         "the scrape must expose the service's own instrumentation"
     );
+    // The artifact is a function of its seed: a second run writes the
+    // same bytes, so no host-timed family reaches the recorded scrape.
+    assert_eq!(
+        json(&results),
+        json(&serve::run(&scale)),
+        "two runs of the serve experiment must write the same artifact"
+    );
 }

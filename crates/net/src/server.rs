@@ -37,7 +37,7 @@ pub const HISTORY_WINDOW: usize = 8;
 /// Adds a small per-request processing overhead and keeps a bounded
 /// history of served requests so ABR algorithms can estimate throughput
 /// the way dash.js does (harmonic mean over recent segments).
-#[derive(Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct SegmentServer {
     link: Link,
     /// Per-request server-side overhead.

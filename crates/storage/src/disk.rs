@@ -124,7 +124,7 @@ pub struct DiskStats {
 }
 
 /// The eMMC device.
-#[derive(Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Disk {
     params: DiskParams,
     /// Requests waiting for mmcqd to dispatch them.

@@ -47,7 +47,7 @@ pub struct FlowRecord {
 }
 
 /// A recorded trace of one run.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Trace {
     threads: BTreeMap<ThreadId, ThreadMeta>,
     events: Vec<SchedEvent>,

@@ -15,7 +15,7 @@ use mvqoe_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// The synthetic pressure applicator.
-#[derive(Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct MpSimulator {
     pid: ProcessId,
     tid: ThreadId,

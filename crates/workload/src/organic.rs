@@ -17,7 +17,7 @@ use mvqoe_sched::{SchedClass, ThreadId};
 use mvqoe_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
-#[derive(Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 struct BgApp {
     pid: ProcessId,
     tid: ThreadId,
@@ -27,7 +27,7 @@ struct BgApp {
 }
 
 /// A population of opened-then-backgrounded apps.
-#[derive(Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct BackgroundApps {
     apps: Vec<BgApp>,
     /// Specs not yet opened.
