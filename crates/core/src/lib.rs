@@ -31,7 +31,7 @@ pub use attribution::{
     AttributionEngine, AttributionReport, Cause, CauseRecord, Effect, NCAUSES,
 };
 pub use parallel::{
-    parallel_map, parallel_map_stats, run_cell_at, run_cells_parallel,
+    parallel_fold, parallel_map, run_cell_at, run_cells_parallel,
     run_cells_parallel_metrics, run_rep_with, AbrFactory, CellSpec, WorkerStat,
 };
 pub use pressure::PressureMode;

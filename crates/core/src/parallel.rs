@@ -20,6 +20,7 @@ use mvqoe_abr::Abr;
 use mvqoe_metrics::{MetricsSnapshot, Telemetry};
 use mvqoe_sim::derive_seed;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -34,6 +35,17 @@ pub struct WorkerStat {
     pub jobs: u64,
     /// Wall-clock seconds spent executing them.
     pub busy_secs: f64,
+}
+
+impl WorkerStat {
+    /// Run one job, counting it and its wall-clock time.
+    fn time<R>(&mut self, job: impl FnOnce() -> R) -> R {
+        let t0 = Instant::now();
+        let result = job();
+        self.jobs += 1;
+        self.busy_secs += t0.elapsed().as_secs_f64();
+        result
+    }
 }
 
 /// Factory producing a fresh ABR controller per session. Shared across
@@ -141,84 +153,85 @@ pub fn run_cells_parallel_metrics(
     collect_metrics: bool,
 ) -> (Vec<CellResult>, Option<Vec<MetricsSnapshot>>, Vec<WorkerStat>) {
     // Expand the grid to a flat job list: (cell, rep) in lexicographic
-    // order. Job index == position in this list, which is what keeps the
-    // regrouping below order-stable.
+    // order. The fold hands results back in this order, so each cell's
+    // digests arrive already in repetition order.
     let jobs: Vec<(u64, u64)> = specs
         .iter()
         .enumerate()
         .flat_map(|(cell, spec)| (0..spec.n_runs).map(move |rep| (cell as u64, rep)))
         .collect();
 
-    let (results, stats) = parallel_map_stats(&jobs, workers, |&(cell, rep)| {
-        let spec = &specs[cell as usize];
-        let mut abr = (spec.make_abr)();
-        if collect_metrics {
-            let mut tele = Telemetry::enabled();
-            let digest =
-                run_rep_with(experiment, cell, rep, &spec.cfg, abr.as_mut(), Some(&mut tele));
-            (digest, Some(tele.snapshot()))
-        } else {
-            (run_rep(experiment, cell, rep, &spec.cfg, abr.as_mut()), None)
-        }
-    });
-
-    // Regroup per cell; jobs were expanded rep-ascending per cell, so each
-    // cell's digests arrive already in repetition order.
     let mut per_cell: Vec<Vec<RunDigest>> = specs
         .iter()
         .map(|spec| Vec::with_capacity(spec.n_runs as usize))
         .collect();
     let mut metrics_per_cell: Vec<MetricsSnapshot> =
         vec![MetricsSnapshot::default(); specs.len()];
-    for (&(cell, _), (digest, snap)) in jobs.iter().zip(results) {
+    let job = |&(cell, rep): &(u64, u64)| {
+        let spec = &specs[cell as usize];
+        let mut abr = (spec.make_abr)();
+        if collect_metrics {
+            let mut tele = Telemetry::enabled();
+            let digest =
+                run_rep_with(experiment, cell, rep, &spec.cfg, abr.as_mut(), Some(&mut tele));
+            (cell, digest, Some(tele.snapshot()))
+        } else {
+            let digest = run_rep(experiment, cell, rep, &spec.cfg, abr.as_mut());
+            (cell, digest, None)
+        }
+    };
+    let stats = parallel_fold(&jobs, workers, job, |(cell, digest, snap)| {
         per_cell[cell as usize].push(digest);
         if let Some(snap) = snap {
             metrics_per_cell[cell as usize].merge(&snap);
         }
-    }
+    });
     let cells = per_cell.into_iter().map(aggregate_runs).collect();
     let metrics = collect_metrics.then_some(metrics_per_cell);
     (cells, metrics, stats)
 }
 
 /// Map `f` over `items` with a fixed-size worker pool, returning results in
-/// input order. Workers claim indices from a shared atomic cursor and send
-/// `(index, result)` pairs back over a channel; the caller slots them into
-/// place. With `workers <= 1` (or one item) this degenerates to a plain
-/// serial loop on the calling thread.
+/// input order: a [`parallel_fold`] that pushes into a `Vec`.
 pub fn parallel_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Send + Sync,
 {
-    parallel_map_stats(items, workers, f).0
+    let mut out = Vec::with_capacity(items.len());
+    parallel_fold(items, workers, f, |r| out.push(r));
+    out
 }
 
-/// [`parallel_map`] that also reports what each worker did (job count and
-/// busy seconds). The serial path reports itself as one worker.
-pub fn parallel_map_stats<T, R, F>(items: &[T], workers: usize, f: F) -> (Vec<R>, Vec<WorkerStat>)
+/// Map `f` over `items` with a fixed-size worker pool and hand each result
+/// to `sink` in input order, as soon as every earlier result is in.
+/// Workers claim indices from a shared atomic cursor and send
+/// `(index, result)` pairs back over a channel; the calling thread runs
+/// `sink` and holds only the results that finished ahead of an earlier
+/// one. Returns what each worker did (job count and busy seconds). With
+/// `workers <= 1` (or one item) this degenerates to a plain serial loop on
+/// the calling thread, which reports itself as one worker.
+pub fn parallel_fold<T, R, F, S>(items: &[T], workers: usize, f: F, mut sink: S) -> Vec<WorkerStat>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Send + Sync,
+    S: FnMut(R),
 {
     let n = items.len();
     let workers = workers.max(1).min(n.max(1));
     if workers <= 1 {
-        let t0 = Instant::now();
-        let out: Vec<R> = items.iter().map(f).collect();
-        let stat = WorkerStat {
-            jobs: n as u64,
-            busy_secs: t0.elapsed().as_secs_f64(),
-        };
-        return (out, vec![stat]);
+        let mut stat = WorkerStat::default();
+        for item in items {
+            sink(stat.time(|| f(item)));
+        }
+        return vec![stat];
     }
 
     let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let stats = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
+        let (tx, rx) = mpsc::channel::<(usize, R)>();
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 let tx = tx.clone();
@@ -231,12 +244,9 @@ where
                         if i >= n {
                             break;
                         }
-                        let t0 = Instant::now();
-                        let result = f(&items[i]);
-                        mine.jobs += 1;
-                        mine.busy_secs += t0.elapsed().as_secs_f64();
+                        let result = mine.time(|| f(&items[i]));
                         // A send failure means the receiver is gone, which
-                        // only happens if the collector below panicked; stop
+                        // only happens if the sink below panicked; stop
                         // quietly.
                         if tx.send((i, result)).is_err() {
                             break;
@@ -247,8 +257,14 @@ where
             })
             .collect();
         drop(tx);
+        let mut ahead = BTreeMap::new();
+        let mut next = 0;
         for (i, result) in rx {
-            slots[i] = Some(result);
+            ahead.insert(i, result);
+            while let Some(result) = ahead.remove(&next) {
+                sink(result);
+                next += 1;
+            }
         }
         // Join every worker before returning. The scope's own join wakes
         // as soon as a worker's closure returns, before its OS thread has
@@ -260,13 +276,8 @@ where
                 h.join()
                     .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
             })
-            .collect::<Vec<WorkerStat>>()
-    });
-    let out = slots
-        .into_iter()
-        .map(|slot| slot.expect("worker pool completed every job"))
-        .collect();
-    (out, stats)
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -275,6 +286,7 @@ mod tests {
     use crate::pressure::PressureMode;
     use mvqoe_device::DeviceProfile;
     use mvqoe_video::{Fps, Genre, Manifest, Resolution};
+    use std::time::Duration;
 
     fn quick_cfg(seed: u64) -> SessionConfig {
         let mut cfg =
@@ -325,14 +337,76 @@ mod tests {
     }
 
     #[test]
+    fn parallel_fold_streams_results_in_input_order() {
+        // Item 1 waits until the sink has seen item 0, so a fold that hands
+        // results over only once every job is done fails here (after the
+        // timeout) instead of hanging.
+        let (seen_tx, seen_rx) = mpsc::channel::<()>();
+        let seen_rx = std::sync::Mutex::new(seen_rx);
+        let mut streamed = Vec::new();
+        parallel_fold(
+            &[0u32, 1],
+            2,
+            |&i| {
+                let wait = Duration::from_secs(10);
+                i == 0 || seen_rx.lock().unwrap().recv_timeout(wait).is_ok()
+            },
+            |saw_item_0| {
+                streamed.push(saw_item_0);
+                let _ = seen_tx.send(());
+            },
+        );
+        assert_eq!(streamed, [true, true], "the sink saw item 0 too late");
+
+        // Later items finish first, yet reach the sink in input order.
+        let items: Vec<u64> = (0..24).collect();
+        for workers in [1, 2, 8] {
+            let mut got = Vec::new();
+            parallel_fold(
+                &items,
+                workers,
+                |&i| {
+                    std::thread::sleep(Duration::from_micros(200 * (24 - i)));
+                    i
+                },
+                |i| got.push(i),
+            );
+            assert_eq!(got, items, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller() {
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let items: Vec<u32> = (0..8).collect();
+            let caught = std::panic::catch_unwind(|| {
+                parallel_fold(
+                    &items,
+                    2,
+                    |&i| if i == 3 { panic!("item 3 failed") } else { i },
+                    |_| {},
+                )
+            });
+            let payload = caught.err().and_then(|p| p.downcast_ref::<&str>().copied());
+            let _ = done_tx.send(payload);
+        });
+        let payload = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the fold must return, not hang");
+        assert_eq!(payload, Some("item 3 failed"));
+    }
+
+    #[test]
     fn worker_stats_account_for_every_job() {
         let items: Vec<u64> = (0..37).collect();
-        let (out, stats) = parallel_map_stats(&items, 4, |&x| x + 1);
+        let mut out = Vec::new();
+        let stats = parallel_fold(&items, 4, |&x| x + 1, |r| out.push(r));
         assert_eq!(out.len(), 37);
         assert_eq!(stats.len(), 4);
         assert_eq!(stats.iter().map(|s| s.jobs).sum::<u64>(), 37);
         // Serial path reports itself as one worker.
-        let (_, serial) = parallel_map_stats(&items, 1, |&x| x + 1);
+        let serial = parallel_fold(&items, 1, |&x| x + 1, |_| {});
         assert_eq!(serial.len(), 1);
         assert_eq!(serial[0].jobs, 37);
     }

@@ -2,19 +2,20 @@
 //!
 //! The fleet streams: users are simulated in contiguous index shards, each
 //! shard folds into a [`FleetAggregate`] (bounded memory, no per-device
-//! `Vec`), shards fan out over `--jobs` workers through the same
-//! `parallel_map` engine as every other experiment, and the aggregates
-//! merge back byte-identically in any order. Large fleets
+//! `Vec`), and shards fan out over `--jobs` workers through the same
+//! worker pool as every other experiment. Shards are absorbed in order as
+//! they finish, so the run holds only the few that finished ahead of an
+//! earlier one, never every shard's aggregate. Large fleets
 //! (≥ [`CHECKPOINT_MIN_USERS`] users) checkpoint each finished shard to
-//! `results/fleet-shards/`, so an interrupted million-user run resumes
-//! from the completed shards instead of restarting.
+//! `results/fleet-shards/`, so a killed million-user run resumes from the
+//! finished shards and redoes at most its in-flight ones (≤ `--jobs`).
 
 use crate::report;
 use crate::scale::Scale;
 use mvqoe_kernel::TrimLevel;
 use mvqoe_metrics::MetricsSnapshot;
 use mvqoe_sim::stats;
-use mvqoe_study::{simulate_range_from, FleetAggregate, FleetConfig, FleetResults};
+use mvqoe_study::{simulate_range, FleetAggregate, FleetConfig, FleetResults};
 use serde::{Deserialize, Serialize, Serializer};
 use std::path::{Path, PathBuf};
 
@@ -140,24 +141,17 @@ pub struct ShardedRun {
     pub aggregate: FleetAggregate,
     /// Shards the run was split into.
     pub shards: u32,
-    /// Shards restored from checkpoints — complete ones returned as-is
-    /// plus partial ones resumed mid-shard — instead of simulated from
-    /// their start.
+    /// Finished shards loaded from checkpoints instead of simulated.
     pub loaded: u32,
 }
 
-/// Checkpoint layout version. v2 added `next_user` (mid-shard resume);
-/// checkpoints from other versions are rejected and recomputed, exactly
-/// like mismatched fingerprints.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 2;
+/// Checkpoint layout version. v3 stores finished shards only (v2 also
+/// held mid-shard partials); checkpoints from other versions are rejected
+/// and recomputed, exactly like mismatched fingerprints.
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 3;
 
-/// Users folded between mid-shard partial checkpoints. A killed run loses
-/// at most this much work per in-flight shard, not the whole shard.
-const PARTIAL_CHECKPOINT_EVERY: u32 = 1024;
-
-/// One checkpointed shard on disk — complete (`next_user` = shard end) or
-/// partial (the fold got as far as `next_user` before the run died).
-/// Written through [`CheckpointOut`], which borrows the aggregate.
+/// One finished shard's checkpoint on disk, written through
+/// [`CheckpointOut`], which borrows the aggregate.
 #[derive(Debug, Deserialize)]
 struct ShardCheckpoint {
     /// Layout version; loads reject other versions.
@@ -167,30 +161,24 @@ struct ShardCheckpoint {
     fingerprint: String,
     /// Shard index.
     shard: u32,
-    /// First user index *not yet* folded into `aggregate`. Users are
-    /// independently seeded, so continuing the fold here is byte-identical
-    /// to an uninterrupted shard.
-    next_user: u32,
     /// The shard's folded state.
     aggregate: FleetAggregate,
 }
 
 /// A [`ShardCheckpoint`] as written: the same fields in the same order,
-/// with the aggregate borrowed from the running fold instead of cloned.
+/// with the aggregate borrowed from the finished shard instead of cloned.
 struct CheckpointOut<'a> {
     fingerprint: &'a str,
     shard: u32,
-    next_user: u32,
     aggregate: &'a FleetAggregate,
 }
 
 impl Serialize for CheckpointOut<'_> {
     fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) {
-        s.begin_map(5);
+        s.begin_map(4);
         s.entry("version", &CHECKPOINT_FORMAT_VERSION);
         s.entry("fingerprint", self.fingerprint);
         s.entry("shard", &self.shard);
-        s.entry("next_user", &self.next_user);
         s.entry("aggregate", self.aggregate);
         s.end_map();
     }
@@ -205,45 +193,28 @@ fn shard_path(dir: &Path, shard: u32, shards: u32) -> PathBuf {
 }
 
 /// Load shard `shard`'s checkpoint, if one exists and was written for
-/// exactly this config, shard layout, and checkpoint version. Returns the
-/// folded state and the first user index still to simulate.
+/// exactly this config, shard layout, and checkpoint version.
 pub fn load_shard(
     dir: &Path,
     cfg: &FleetConfig,
     shards: u32,
     shard: u32,
-) -> Option<(FleetAggregate, u32)> {
+) -> Option<FleetAggregate> {
     let print = fingerprint(cfg, shards);
     let text = std::fs::read_to_string(shard_path(dir, shard, shards)).ok()?;
     let ckpt: ShardCheckpoint = serde_json::from_str(&text).ok()?;
     (ckpt.version == CHECKPOINT_FORMAT_VERSION
         && ckpt.fingerprint == print
         && ckpt.shard == shard)
-        .then_some((ckpt.aggregate, ckpt.next_user))
+        .then_some(ckpt.aggregate)
 }
 
 /// Persist one finished shard's aggregate so an interrupted run can
 /// resume from it. Best-effort: checkpoint failures never fail the run.
 pub fn store_shard(dir: &Path, cfg: &FleetConfig, shards: u32, shard: u32, agg: &FleetAggregate) {
-    let end = shard_range(cfg.n_users, shards, shard).end;
-    store_shard_partial(dir, cfg, shards, shard, end, agg);
-}
-
-/// Persist a mid-shard snapshot: the fold's state after every user below
-/// `next_user`. The same write path as a finished shard — a complete
-/// checkpoint is just a partial whose `next_user` is the shard end.
-pub fn store_shard_partial(
-    dir: &Path,
-    cfg: &FleetConfig,
-    shards: u32,
-    shard: u32,
-    next_user: u32,
-    agg: &FleetAggregate,
-) {
     let ckpt = CheckpointOut {
         fingerprint: &fingerprint(cfg, shards),
         shard,
-        next_user,
         aggregate: agg,
     };
     let mut text = String::new();
@@ -267,10 +238,11 @@ pub fn shard_range(n_users: u32, shards: u32, shard: u32) -> std::ops::Range<u32
 }
 
 /// Run the fleet in `shards` contiguous index shards over `scale.jobs`
-/// workers, folding each shard into a bounded aggregate and merging in
-/// shard order. With a checkpoint directory, finished shards persist
-/// there and matching checkpoints are loaded instead of resimulated; the
-/// directory's shard files are removed once the merged run completes.
+/// workers, folding each shard into a bounded aggregate and absorbing the
+/// shards in order as they finish. With a checkpoint directory, finished
+/// shards persist there and matching checkpoints are loaded instead of
+/// resimulated; the directory's shard files are removed once the merged
+/// run completes.
 pub fn run_fleet_sharded(
     cfg: &FleetConfig,
     shards: u32,
@@ -279,58 +251,42 @@ pub fn run_fleet_sharded(
 ) -> ShardedRun {
     let dir = checkpoint_dir.filter(|d| std::fs::create_dir_all(d).is_ok());
     let indices: Vec<u32> = (0..shards).collect();
-    let results: Vec<(FleetAggregate, bool)> = crate::runner::map(scale, &indices, |&s| {
-        let range = shard_range(cfg.n_users, shards, s);
-        // A complete checkpoint is returned as-is; a partial one resumes
-        // the fold *inside* the shard from its embedded mid-shard state.
-        let (start_agg, start_user, resumed) = match dir.and_then(|d| load_shard(d, cfg, shards, s))
-        {
-            Some((agg, next_user)) if next_user >= range.end => return (agg, true),
-            Some((agg, next_user)) => (agg, next_user.max(range.start), true),
-            None => (FleetAggregate::new(), range.start, false),
-        };
-        let agg = simulate_range_from(cfg, start_agg, start_user..range.end, |i, partial| {
-            if let Some(d) = dir {
-                let folded = i + 1 - range.start;
-                if folded % PARTIAL_CHECKPOINT_EVERY == 0 && i + 1 < range.end {
-                    store_shard_partial(d, cfg, shards, s, i + 1, partial);
-                }
-            }
-        });
+    // The empty aggregate is the merge identity, so absorbing every shard
+    // into it gives exactly the shards' merge.
+    let mut aggregate = FleetAggregate::new();
+    let mut loaded = 0;
+    // Fleet telemetry: per-shard counters summed into one metrics
+    // snapshot, stashed for the .metrics.json sidecar.
+    let mut metrics = scale.metrics.then(MetricsSnapshot::default);
+    let shard = |&s: &u32| {
+        if let Some(agg) = dir.and_then(|d| load_shard(d, cfg, shards, s)) {
+            return (agg, true);
+        }
+        let agg = simulate_range(cfg, shard_range(cfg.n_users, shards, s));
         if let Some(d) = dir {
             store_shard(d, cfg, shards, s, &agg);
         }
-        (agg, resumed)
+        (agg, false)
+    };
+    crate::runner::fold(scale, &indices, shard, |(agg, was_loaded)| {
+        loaded += u32::from(was_loaded);
+        if let Some(m) = &mut metrics {
+            for (name, n) in [
+                ("fleet.users_simulated", u64::from(agg.recruited)),
+                ("fleet.devices_kept", agg.kept),
+                ("fleet.shards_loaded", u64::from(was_loaded)),
+            ] {
+                *m.counters.entry(name.into()).or_insert(0) += n;
+            }
+        }
+        aggregate.absorb(agg);
     });
 
-    let loaded = results.iter().filter(|(_, l)| *l).count() as u32;
-    if scale.metrics {
-        // Reuse the metrics snapshot merge for fleet telemetry: one
-        // snapshot per shard, folded with the same associative merge the
-        // session experiments use, stashed for the .metrics.json sidecar.
-        let snaps: Vec<MetricsSnapshot> = results
-            .iter()
-            .map(|(agg, was_loaded)| {
-                let mut s = MetricsSnapshot::default();
-                s.counters
-                    .insert("fleet.users_simulated".into(), agg.recruited as u64);
-                s.counters.insert("fleet.devices_kept".into(), agg.kept);
-                s.counters
-                    .insert("fleet.shards_loaded".into(), *was_loaded as u64);
-                s
-            })
-            .collect();
-        let mut merged = MetricsSnapshot::merged(&snaps);
+    if let Some(mut merged) = metrics {
         if let Some(rss) = mvqoe_core::peak_rss_mib() {
             merged.gauges.insert("fleet.peak_rss_mib".into(), rss);
         }
         crate::runner::stash_snapshot("fleet_figs1-6", merged);
-    }
-
-    let mut iter = results.into_iter().map(|(agg, _)| agg);
-    let mut aggregate = iter.next().expect("at least one shard");
-    for shard_agg in iter {
-        aggregate.absorb(shard_agg);
     }
 
     if let Some(d) = dir {

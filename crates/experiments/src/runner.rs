@@ -3,7 +3,7 @@
 //! Experiment modules describe their grids as [`CellSpec`] lists (or plain
 //! job slices) and hand them to this module, which fans the work out over
 //! `scale.jobs` worker threads via [`mvqoe_core::run_cells_parallel`] /
-//! [`mvqoe_core::parallel_map`]. Results come back in input order, and every
+//! [`mvqoe_core::parallel_fold`]. Results come back in input order, and every
 //! session is seeded by its grid coordinates through
 //! [`mvqoe_sim::derive_seed`], so the outputs are identical at any worker
 //! count — `--jobs` only changes wall-clock time.
@@ -16,9 +16,7 @@
 //! sidecar, never the data JSON.
 
 use crate::scale::Scale;
-use mvqoe_core::{
-    parallel_map_stats, run_cells_parallel_metrics, CellResult, CellSpec, WorkerStat,
-};
+use mvqoe_core::{parallel_fold, run_cells_parallel_metrics, CellResult, CellSpec, WorkerStat};
 use mvqoe_metrics::{MetricsSidecar, MetricsSnapshot};
 use std::sync::Mutex;
 
@@ -96,9 +94,23 @@ where
     R: Send,
     F: Fn(&T) -> R + Send + Sync,
 {
-    let (out, stats) = parallel_map_stats(items, scale.jobs, f);
-    with_stash(|stash| stash.absorb_workers(&stats));
+    let mut out = Vec::with_capacity(items.len());
+    fold(scale, items, f, |r| out.push(r));
     out
+}
+
+/// Map `f` over `items` with `scale.jobs` workers and hand each result to
+/// `sink` in input order as soon as every earlier one is in, so a caller
+/// that folds results never holds more than the few that finished early.
+pub fn fold<T, R, F, S>(scale: &Scale, items: &[T], f: F, sink: S)
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Send + Sync,
+    S: FnMut(R),
+{
+    let stats = parallel_fold(items, scale.jobs, f, sink);
+    with_stash(|stash| stash.absorb_workers(&stats));
 }
 
 /// The session seed for coordinates `(experiment, cell, rep)` under this

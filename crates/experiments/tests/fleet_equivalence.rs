@@ -4,13 +4,12 @@
 //! observation reference path *byte for byte* — same aggregate JSON, same
 //! extracted figures — at the paper's 80-user size and the quick pass's
 //! 14-user size, at any shard count. Checkpointed shards must resume into
-//! exactly the same state. Observation medians are shortened here (the
+//! exactly the same state, whichever shards a killed run finished. Observation medians are shortened here (the
 //! clamp scales with the median) so the suite stays fast; the equivalence
 //! argument is size- and hours-independent.
 
 use mvqoe_experiments::fleet_figs::{
-    extract, run_fleet_sharded, shard_range, store_shard, store_shard_partial,
-    CHECKPOINT_FORMAT_VERSION,
+    extract, run_fleet_sharded, shard_range, store_shard, CHECKPOINT_FORMAT_VERSION,
 };
 use mvqoe_experiments::Scale;
 use mvqoe_study::{assemble_fleet, simulate_range, simulate_user, FleetConfig, FleetResults};
@@ -78,15 +77,19 @@ fn interrupted_run_resumes_from_shard_checkpoints() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
-    // An "interrupted" run: four of seven shards finished and checkpointed.
-    for s in 0..4 {
+    // An "interrupted" run: four of seven shards finished and checkpointed,
+    // not a prefix, as workers finish shards out of order.
+    let finished = [1u32, 3, 4, 6];
+    for s in finished {
         let agg = simulate_range(&cfg, shard_range(cfg.n_users, shards, s));
         store_shard(&dir, &cfg, shards, s, &agg);
     }
-    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 4);
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), finished.len());
 
     // The resumed run loads them and simulates only the remaining three.
-    let scale = Scale::quick().jobs(1);
+    // At two workers the loaded shards come back ahead of the earlier
+    // simulated ones and wait for them to be absorbed in order.
+    let scale = Scale::quick().jobs(2);
     let resumed = run_fleet_sharded(&cfg, shards, &scale, Some(&dir));
     assert_eq!(resumed.loaded, 4, "all four checkpoints must be reused");
 
@@ -103,38 +106,6 @@ fn interrupted_run_resumes_from_shard_checkpoints() {
 }
 
 #[test]
-fn killed_mid_shard_run_resumes_inside_the_shard() {
-    let cfg = short_cfg(14, 0.4);
-    let shards = 2u32;
-    let dir = std::env::temp_dir().join(format!("mvqoe-fleet-midshard-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-
-    // A run killed mid-flight: shard 0 finished; shard 1 died after
-    // folding three of its users, leaving a partial checkpoint embedding
-    // the aggregate-so-far plus the next user index.
-    let r0 = shard_range(cfg.n_users, shards, 0);
-    store_shard(&dir, &cfg, shards, 0, &simulate_range(&cfg, r0));
-    let r1 = shard_range(cfg.n_users, shards, 1);
-    let partial = simulate_range(&cfg, r1.start..r1.start + 3);
-    store_shard_partial(&dir, &cfg, shards, 1, r1.start + 3, &partial);
-
-    // The resumed run reuses both — the complete shard verbatim, the
-    // killed shard from user `next_user` onward — and lands byte-equal
-    // to a run that was never interrupted.
-    let scale = Scale::quick().jobs(1);
-    let resumed = run_fleet_sharded(&cfg, shards, &scale, Some(&dir));
-    assert_eq!(resumed.loaded, 2, "complete and partial checkpoints both resume");
-    assert_eq!(
-        json(&resumed.aggregate),
-        json(&simulate_range(&cfg, 0..cfg.n_users)),
-        "a mid-shard resume must be byte-identical to an uninterrupted run"
-    );
-    assert!(!dir.exists() || std::fs::read_dir(&dir).unwrap().count() == 0);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn old_format_checkpoints_are_rejected_by_version() {
     let cfg = short_cfg(14, 0.4);
     let shards = 2u32;
@@ -145,21 +116,31 @@ fn old_format_checkpoints_are_rejected_by_version() {
     // A perfectly valid checkpoint... written down-versioned, as if by a
     // build predating the current layout.
     let r0 = shard_range(cfg.n_users, shards, 0);
-    store_shard(&dir, &cfg, shards, 0, &simulate_range(&cfg, r0));
-    let path = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
-    let text = std::fs::read_to_string(&path).unwrap();
+    let agg0 = simulate_range(&cfg, r0.clone());
     let needle = format!("\"version\":{CHECKPOINT_FORMAT_VERSION}");
-    let tampered = text.replace(&needle, "\"version\":1");
-    assert_ne!(text, tampered, "the checkpoint must carry its version field");
-    std::fs::write(&path, tampered).unwrap();
+    for old in [1, 2] {
+        store_shard(&dir, &cfg, shards, 0, &agg0);
+        let entry = std::fs::read_dir(&dir).unwrap().next().unwrap();
+        let path = entry.unwrap().path();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut tampered = text.replace(&needle, &format!("\"version\":{old}"));
+        assert_ne!(text, tampered, "the checkpoint must carry a version");
+        if old == 2 {
+            // v2 also recorded the first user still to fold.
+            let next_user = format!("\"shard\":0,\"next_user\":{},", r0.end);
+            tampered = tampered.replacen("\"shard\":0,", &next_user, 1);
+        }
+        std::fs::write(&path, tampered).unwrap();
 
-    let scale = Scale::quick().jobs(1);
-    let run = run_fleet_sharded(&cfg, shards, &scale, Some(&dir));
-    assert_eq!(run.loaded, 0, "stale-version checkpoints must be recomputed");
-    assert_eq!(
-        json(&run.aggregate),
-        json(&simulate_range(&cfg, 0..cfg.n_users))
-    );
+        let scale = Scale::quick().jobs(1);
+        let run = run_fleet_sharded(&cfg, shards, &scale, Some(&dir));
+        assert_eq!(run.loaded, 0, "v{old} checkpoints must be recomputed");
+        assert_eq!(
+            json(&run.aggregate),
+            json(&simulate_range(&cfg, 0..cfg.n_users))
+        );
+        std::fs::create_dir_all(&dir).unwrap();
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -163,7 +163,7 @@ fn observation_hours(cfg: &FleetConfig, root: &SimRng, i: u32) -> f64 {
         .clamp(cfg.hours_lo, cfg.hours_hi)
 }
 
-/// How many users [`simulate_range_from`] steps in lockstep per chunk.
+/// How many users [`simulate_range`] steps in lockstep per chunk.
 /// Large enough to amortize the batch's per-second lane sweep, small
 /// enough that a chunk's live memory managers fit in cache — sweeping 16
 /// managers (~50 KiB of hot state) measures ~10% faster than 64 on the
@@ -176,26 +176,10 @@ pub const BATCH_CHUNK: u32 = 16;
 /// into an aggregate as soon as it finishes — O(aggregate) memory, not
 /// O(shard size).
 pub fn simulate_range(cfg: &FleetConfig, users: Range<u32>) -> FleetAggregate {
-    simulate_range_from(cfg, FleetAggregate::new(), users, |_, _| {})
+    simulate_range_chunked(cfg, users, BATCH_CHUNK)
 }
 
-/// Continue a fold from a previously accumulated aggregate — the
-/// mid-shard resume path. Users are independent (each draws only from
-/// streams split off the root seed by its own index), so folding
-/// `users` onto an aggregate that already holds everything before
-/// `users.start` is byte-identical to one uninterrupted fold.
-/// `after_each(i, &agg)` runs after every folded user — the hook
-/// checkpoint writers use; pass `|_, _| {}` when not needed.
-pub fn simulate_range_from(
-    cfg: &FleetConfig,
-    agg: FleetAggregate,
-    users: Range<u32>,
-    after_each: impl FnMut(u32, &FleetAggregate),
-) -> FleetAggregate {
-    simulate_range_chunked(cfg, agg, users, BATCH_CHUNK, after_each)
-}
-
-/// [`simulate_range_from`] with an explicit lockstep chunk size. Users in a
+/// [`simulate_range`] with an explicit lockstep chunk size. Users in a
 /// chunk advance together one simulated second at a time through a
 /// [`FleetBatch`], whose struct-of-arrays quiescence lanes let the common
 /// all-calm second touch one cache line per few dozen users instead of one
@@ -208,13 +192,8 @@ pub fn simulate_range_from(
 /// ([`FleetBatch::renew`], [`DeviceObservation::reset`]), which builds
 /// exactly what [`start_user`] and [`UserStream::observation`] would
 /// without allocating them again.
-pub fn simulate_range_chunked(
-    cfg: &FleetConfig,
-    mut agg: FleetAggregate,
-    users: Range<u32>,
-    chunk: u32,
-    mut after_each: impl FnMut(u32, &FleetAggregate),
-) -> FleetAggregate {
+pub fn simulate_range_chunked(cfg: &FleetConfig, users: Range<u32>, chunk: u32) -> FleetAggregate {
+    let mut agg = FleetAggregate::new();
     let chunk = chunk.max(1);
     let root = SimRng::new(cfg.seed);
     let mut batch = FleetBatch::new(Vec::new());
@@ -253,9 +232,7 @@ pub fn simulate_range_chunked(
             }
         }
         for (j, obs) in observations.iter().enumerate() {
-            let i = start + j as u32;
-            agg.fold(cfg, i, obs, hours[j]);
-            after_each(i, &agg);
+            agg.fold(cfg, start + j as u32, obs, hours[j]);
         }
         start = end;
     }
@@ -516,13 +493,7 @@ mod tests {
             }
             let reference = serde_json::to_string(&reference).unwrap();
             for chunk in [1u32, 3, BATCH_CHUNK, 64] {
-                let agg = simulate_range_chunked(
-                    &cfg,
-                    FleetAggregate::new(),
-                    users.clone(),
-                    chunk,
-                    |_, _| {},
-                );
+                let agg = simulate_range_chunked(&cfg, users.clone(), chunk);
                 assert_eq!(
                     serde_json::to_string(&agg).unwrap(),
                     reference,

@@ -25,8 +25,7 @@ pub use fleet_aggregate::{
 };
 pub use fleet_study::{
     assemble_fleet, observation_seconds, run_fleet, simulate_range, simulate_range_chunked,
-    simulate_range_from, simulate_user, start_user, FleetConfig, FleetResults, UserStream,
-    BATCH_CHUNK,
+    simulate_user, start_user, FleetConfig, FleetResults, UserStream, BATCH_CHUNK,
 };
 pub use observation::DeviceObservation;
 pub use survey::{run_survey, SurveyConfig, SurveyResults};

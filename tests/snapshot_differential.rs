@@ -11,7 +11,7 @@
 //! pressure × encoding × engine × cut point) probe the whole space instead
 //! of a blessed configuration.
 
-use mvqoe_abr::{Abr, FixedAbr};
+use mvqoe_abr::FixedAbr;
 use mvqoe_core::{
     run_session, PressureMode, Session, SessionConfig, SessionOutcome, Snapshot,
 };
