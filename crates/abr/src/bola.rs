@@ -10,26 +10,25 @@
 use crate::context::{Abr, AbrContext};
 use mvqoe_video::{Fps, Representation};
 
+/// Lyapunov control parameter `V` (bigger = favor utility over buffer).
+/// With [`GAMMA_P`] it is tuned for a 60 s buffer of 4 s segments: the
+/// knee sits around half occupancy.
+const V: f64 = 2.0;
+
+/// Rebuffer-aversion weight `γ·p`.
+const GAMMA_P: f64 = 5.0;
+
 /// BOLA-BASIC at a fixed frame rate.
 #[derive(Debug, Clone, Copy)]
 pub struct Bola {
     /// Frame rate whose ladder is used.
     pub fps: Fps,
-    /// Lyapunov control parameter `V` (bigger = favor utility over buffer).
-    pub v: f64,
-    /// Rebuffer-aversion weight `γ·p`.
-    pub gamma_p: f64,
 }
 
 impl Bola {
-    /// Parameters tuned for a 60 s buffer of 4 s segments: the knee sits
-    /// around half occupancy.
+    /// BOLA on the ladder at `fps`.
     pub fn new(fps: Fps) -> Bola {
-        Bola {
-            fps,
-            v: 2.0,
-            gamma_p: 5.0,
-        }
+        Bola { fps }
     }
 }
 
@@ -45,7 +44,7 @@ impl Abr for Bola {
         for rep in ladder {
             let s_m = rep.bitrate_kbps as f64;
             let utility = (s_m / s_min).ln();
-            let score = (self.v * (utility + self.gamma_p) - q_segments) / s_m;
+            let score = (V * (utility + GAMMA_P) - q_segments) / s_m;
             if score > best_score {
                 best_score = score;
                 best = rep;

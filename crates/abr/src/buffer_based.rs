@@ -9,25 +9,24 @@
 use crate::context::{Abr, AbrContext};
 use mvqoe_video::{Fps, Representation};
 
+/// Below this occupancy (s): lowest rung. With [`CUSHION`], the standard
+/// configuration for a 60 s buffer.
+const RESERVOIR: f64 = 10.0;
+
+/// Above this occupancy (s): highest rung.
+const CUSHION: f64 = 45.0;
+
 /// Buffer-based ABR at a fixed frame rate.
 #[derive(Debug, Clone, Copy)]
 pub struct BufferBased {
     /// Frame rate whose ladder is used.
     pub fps: Fps,
-    /// Below this occupancy (s): lowest rung.
-    pub reservoir: f64,
-    /// Above this occupancy (s): highest rung.
-    pub cushion: f64,
 }
 
 impl BufferBased {
-    /// The standard configuration for a 60 s buffer.
+    /// BBA on the ladder at `fps`.
     pub fn new(fps: Fps) -> BufferBased {
-        BufferBased {
-            fps,
-            reservoir: 10.0,
-            cushion: 45.0,
-        }
+        BufferBased { fps }
     }
 }
 
@@ -36,12 +35,12 @@ impl Abr for BufferBased {
         let ladder = ctx.ladder_at(self.fps);
         assert!(!ladder.is_empty(), "manifest has no rungs at {}", self.fps);
         let occ = ctx.buffer_seconds;
-        let idx = if occ <= self.reservoir {
+        let idx = if occ <= RESERVOIR {
             0
-        } else if occ >= self.cushion {
+        } else if occ >= CUSHION {
             ladder.len() - 1
         } else {
-            let f = (occ - self.reservoir) / (self.cushion - self.reservoir);
+            let f = (occ - RESERVOIR) / (CUSHION - RESERVOIR);
             ((ladder.len() - 1) as f64 * f).floor() as usize
         };
         ladder[idx]

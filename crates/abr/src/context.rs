@@ -117,6 +117,16 @@ pub trait Abr {
     }
 }
 
+/// The entry `key` of a stateful policy's saved state map.
+pub(crate) fn saved_entry<'a>(
+    state: &'a serde::Value,
+    key: &str,
+) -> Result<&'a serde::Value, serde::de::Error> {
+    state
+        .get(key)
+        .ok_or_else(|| serde::de::Error::custom(format!("ABR state missing {key}")))
+}
+
 #[cfg(test)]
 pub(crate) mod test_support {
     use super::*;

@@ -9,141 +9,48 @@
 //! with the paper's lever assignment:
 //!
 //! * **memory pressure → frame rate** (and, when severe, a resolution
-//!   cap), exactly the sticky 60→48→24 ladder of
-//!   [`MemoryAware`](crate::MemoryAware);
+//!   cap), through the same `MemoryCaps` as
+//!   [`MemoryAware`](crate::MemoryAware), so any QoE difference against it
+//!   in the arena comes from the bandwidth side alone;
 //! * **network pressure → bitrate**, via the MPC lookahead run on the
 //!   ladder *at the capped frame rate* — so when memory pressure forces
 //!   24 fps, the planner prices the cheaper 24 fps rungs and banks the
 //!   freed bandwidth as buffer instead of wasting it on frames the
 //!   decoder would drop.
 
-use crate::context::{Abr, AbrContext};
-use crate::memory_aware::MemoryAwareConfig;
-use crate::mpc::{lookahead_pick, MpcConfig, Predictor};
-use mvqoe_kernel::TrimLevel;
-use mvqoe_video::{Fps, Representation, Resolution};
+use crate::context::{saved_entry, Abr, AbrContext};
+use crate::memory_aware::MemoryCaps;
+use crate::mpc::{lookahead_pick, Predictor};
+use mvqoe_video::{Fps, Representation};
 
 /// The hybrid memory/bandwidth controller.
 #[derive(Debug, Clone)]
 pub struct Hybrid {
-    mem: MemoryAwareConfig,
-    mpc: MpcConfig,
     /// The frame rate the user/content wants when unconstrained.
     preferred_fps: Fps,
-    fps_cap: Fps,
-    res_cap: Resolution,
-    normal_streak: u32,
+    caps: MemoryCaps,
     predictor: Predictor,
 }
 
 impl Hybrid {
-    /// Default knobs from both parents: the memory-aware wrapper's sticky
-    /// caps and MPC's 5-segment lookahead.
+    /// Both parents' knobs: the memory-aware wrapper's sticky caps and
+    /// MPC's 5-segment lookahead.
     pub fn new(preferred_fps: Fps) -> Hybrid {
-        Hybrid::with_config(preferred_fps, MemoryAwareConfig::default(), MpcConfig::default())
-    }
-
-    /// Explicit configuration.
-    pub fn with_config(preferred_fps: Fps, mem: MemoryAwareConfig, mpc: MpcConfig) -> Hybrid {
         Hybrid {
-            mem,
-            mpc,
             preferred_fps,
-            fps_cap: preferred_fps,
-            res_cap: Resolution::R1440p,
-            normal_streak: 0,
+            caps: MemoryCaps::new(preferred_fps),
             predictor: Predictor::default(),
         }
-    }
-
-    /// Current frame-rate cap (for experiment logging).
-    pub fn fps_cap(&self) -> Fps {
-        self.fps_cap
-    }
-
-    /// Current resolution cap (for experiment logging).
-    pub fn res_cap(&self) -> Resolution {
-        self.res_cap
-    }
-
-    // The memory lever: identical cap dynamics to `MemoryAware`, so any
-    // QoE difference against it in the arena is attributable to the
-    // bandwidth side alone.
-    fn update_memory_caps(&mut self, ctx: &AbrContext<'_>) {
-        if ctx.trim_level.is_pressure() {
-            self.normal_streak = 0;
-            self.tighten(ctx.trim_level, ctx.recent_drop_pct);
-        } else if ctx.recent_drop_pct > self.mem.drop_react_pct {
-            self.normal_streak = 0;
-            self.fps_cap = match self.fps_cap {
-                Fps::F60 => Fps::F48,
-                Fps::F48 | Fps::F30 => Fps::F24,
-                Fps::F24 => Fps::F24,
-            };
-        } else {
-            self.normal_streak += 1;
-            if self.normal_streak >= self.mem.recovery_patience {
-                self.normal_streak = 0;
-                self.relax();
-            }
-        }
-    }
-
-    fn tighten(&mut self, trim: TrimLevel, drop_pct: f64) {
-        match trim {
-            TrimLevel::Critical => {
-                self.fps_cap = Fps::F24;
-                self.res_cap = self.res_cap.min(Resolution::R480p);
-            }
-            TrimLevel::Low => {
-                self.fps_cap = Fps::F24;
-                self.res_cap = self
-                    .res_cap
-                    .step_down()
-                    .unwrap_or(self.mem.min_resolution)
-                    .max(self.mem.min_resolution);
-            }
-            TrimLevel::Moderate => {
-                self.fps_cap = match self.fps_cap {
-                    Fps::F60 => Fps::F48,
-                    Fps::F48 | Fps::F30 if drop_pct > self.mem.drop_react_pct => Fps::F24,
-                    cap => cap,
-                };
-            }
-            TrimLevel::Normal => unreachable!("tighten is only called under pressure"),
-        }
-    }
-
-    fn relax(&mut self) {
-        if self.res_cap < Resolution::R1440p {
-            self.res_cap = self.res_cap.step_up().unwrap_or(Resolution::R1440p);
-            return;
-        }
-        self.fps_cap = match (self.fps_cap, self.preferred_fps) {
-            (Fps::F24, pref) if pref >= Fps::F30 => Fps::F30,
-            (Fps::F30, pref) if pref >= Fps::F48 => Fps::F48,
-            (Fps::F48, pref) if pref >= Fps::F60 => Fps::F60,
-            (cap, _) => cap,
-        };
     }
 }
 
 impl Abr for Hybrid {
     fn choose(&mut self, ctx: &AbrContext<'_>) -> Representation {
-        self.update_memory_caps(ctx);
-        let fps = if self.fps_cap.value() < self.preferred_fps.value() {
-            self.fps_cap
-        } else {
-            self.preferred_fps
-        };
+        let fps = self.caps.update(ctx, self.preferred_fps);
         // The bandwidth lever plans directly on the capped ladder.
         let pred = self.predictor.predict(ctx);
-        let pick = lookahead_pick(ctx, &self.mpc, fps, pred);
-        let res = pick
-            .resolution
-            .min(self.res_cap)
-            .max(self.mem.min_resolution);
-        ctx.manifest.representation(res, fps).unwrap_or(pick)
+        let pick = lookahead_pick(ctx, fps, pred);
+        self.caps.clamp(ctx, pick, fps)
     }
 
     fn name(&self) -> &'static str {
@@ -151,24 +58,14 @@ impl Abr for Hybrid {
     }
 
     fn state_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("fps_cap".into(), serde::to_value(&self.fps_cap)),
-            ("res_cap".into(), serde::to_value(&self.res_cap)),
-            ("normal_streak".into(), serde::to_value(&self.normal_streak)),
-            ("predictor".into(), self.predictor.state_value()),
-        ])
+        self.caps
+            .state_with("predictor", serde::to_value(&self.predictor))
     }
 
     fn restore_state(&mut self, state: &serde::Value) -> Result<(), serde::de::Error> {
-        let field = |name: &str| {
-            state
-                .get(name)
-                .ok_or_else(|| serde::de::Error::custom(format!("Hybrid state missing {name}")))
-        };
-        self.fps_cap = serde::from_value(field("fps_cap")?)?;
-        self.res_cap = serde::from_value(field("res_cap")?)?;
-        self.normal_streak = serde::from_value(field("normal_streak")?)?;
-        self.predictor.restore(field("predictor")?)
+        self.caps = serde::from_value(state)?;
+        self.predictor = serde::from_value(saved_entry(state, "predictor")?)?;
+        Ok(())
     }
 }
 
@@ -176,6 +73,8 @@ impl Abr for Hybrid {
 mod tests {
     use super::*;
     use crate::context::test_support::*;
+    use mvqoe_kernel::TrimLevel;
+    use mvqoe_video::Resolution;
 
     #[test]
     fn memory_pressure_degrades_fps_not_bitrate() {

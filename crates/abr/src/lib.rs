@@ -18,8 +18,9 @@
 //!   once pressure clears. It wraps any network ABR, so network and memory
 //!   bottlenecks compose;
 //! * [`Hybrid`] — the joint-pressure controller: memory pressure degrades
-//!   the frame rate (the memory-aware cap dynamics), network pressure
-//!   degrades the bitrate (the MPC lookahead, run on the capped ladder).
+//!   the frame rate (the same cap state machine as [`MemoryAware`]),
+//!   network pressure degrades the bitrate (the MPC lookahead, run on the
+//!   capped ladder).
 //!
 //! All algorithms implement [`Abr`] over an [`AbrContext`] snapshot and
 //! return a `Representation` from the manifest's ladder.
@@ -39,7 +40,7 @@ pub use buffer_based::BufferBased;
 pub use context::{Abr, AbrContext, THROUGHPUT_SAFETY};
 pub use fixed::FixedAbr;
 pub use hybrid::Hybrid;
-pub use memory_aware::{MemoryAware, MemoryAwareConfig};
-pub use mpc::{Mpc, MpcConfig};
+pub use memory_aware::MemoryAware;
+pub use mpc::Mpc;
 pub use schedule::ScheduledFps;
 pub use throughput::ThroughputBased;

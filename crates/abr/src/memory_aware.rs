@@ -15,76 +15,76 @@
 //! a representation even without memory pressure (the paper's Nokia 1 at
 //! 1080p). Recovery is deliberately sticky: pressure states persist for
 //! long stretches (Fig. 6), so the controller waits for several clean
-//! segments before stepping back up.
+//! segments before stepping back up. These caps are one state machine,
+//! `MemoryCaps`, which the hybrid controller shares.
 
-use crate::context::{Abr, AbrContext};
+use crate::context::{saved_entry, Abr, AbrContext};
 use mvqoe_kernel::TrimLevel;
 use mvqoe_video::{Fps, Representation, Resolution};
 use serde::{Deserialize, Serialize};
 
-/// Tuning knobs for [`MemoryAware`].
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct MemoryAwareConfig {
-    /// Consecutive Normal-state decisions before relaxing one cap step.
-    pub recovery_patience: u32,
-    /// Recent drop percentage above which the controller reacts even
-    /// without a trim signal (decode-capacity safety net).
-    pub drop_react_pct: f64,
-    /// Resolution floor — never adapt below this.
-    pub min_resolution: Resolution,
-}
+/// Consecutive clean decisions (no trim signal, drops at most
+/// [`DROP_REACT_PCT`]) before the caps relax one step.
+const RECOVERY_PATIENCE: u32 = 3;
 
-impl Default for MemoryAwareConfig {
-    fn default() -> Self {
-        MemoryAwareConfig {
-            recovery_patience: 3,
-            drop_react_pct: 10.0,
-            min_resolution: Resolution::R240p,
-        }
-    }
-}
+/// Recent drop percentage above which the caps tighten even without a trim
+/// signal (decode-capacity safety net), and above which Moderate pressure
+/// takes the frame rate below 48.
+const DROP_REACT_PCT: f64 = 10.0;
 
-/// The memory-aware wrapper.
-#[derive(Debug, Clone)]
-pub struct MemoryAware<A> {
-    inner: A,
-    cfg: MemoryAwareConfig,
-    /// The frame rate the user/content wants when unconstrained.
-    preferred_fps: Fps,
+/// The memory lever of [`MemoryAware`] and [`Hybrid`](crate::Hybrid):
+/// sticky frame-rate and resolution caps, tightened by the trim level and
+/// by drop feedback and relaxed after [`RECOVERY_PATIENCE`] clean
+/// decisions. Its fields are all the memory-side state either policy
+/// keeps, so a snapshot stores them as they stand.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(crate) struct MemoryCaps {
     fps_cap: Fps,
     res_cap: Resolution,
     normal_streak: u32,
 }
 
-impl<A: Abr> MemoryAware<A> {
-    /// Wrap `inner`, preferring `preferred_fps` when memory allows.
-    pub fn new(inner: A, preferred_fps: Fps) -> MemoryAware<A> {
-        MemoryAware::with_config(inner, preferred_fps, MemoryAwareConfig::default())
-    }
-
-    /// Wrap with explicit configuration.
-    pub fn with_config(inner: A, preferred_fps: Fps, cfg: MemoryAwareConfig) -> MemoryAware<A> {
-        MemoryAware {
-            inner,
-            cfg,
-            preferred_fps,
+impl MemoryCaps {
+    /// No caps: the preferred frame rate at any resolution.
+    pub(crate) fn new(preferred_fps: Fps) -> MemoryCaps {
+        MemoryCaps {
             fps_cap: preferred_fps,
             res_cap: Resolution::R1440p,
             normal_streak: 0,
         }
     }
 
-    /// Current frame-rate cap (for experiment logging).
-    pub fn fps_cap(&self) -> Fps {
-        self.fps_cap
+    /// Fold in one decision's trim level and drop feedback, and return the
+    /// frame rate to stream: the cap, never above `preferred_fps`.
+    pub(crate) fn update(&mut self, ctx: &AbrContext<'_>, preferred_fps: Fps) -> Fps {
+        let dropping = ctx.recent_drop_pct > DROP_REACT_PCT;
+        if ctx.trim_level.is_pressure() || dropping {
+            self.normal_streak = 0;
+            self.tighten(ctx.trim_level, dropping);
+        } else {
+            self.normal_streak += 1;
+            if self.normal_streak >= RECOVERY_PATIENCE {
+                self.normal_streak = 0;
+                self.relax(preferred_fps);
+            }
+        }
+        self.fps_cap.min(preferred_fps)
     }
 
-    /// Current resolution cap (for experiment logging).
-    pub fn res_cap(&self) -> Resolution {
-        self.res_cap
+    /// Cap `pick`'s resolution and stream it at `fps`, the frame rate
+    /// [`MemoryCaps::update`] returned; `pick` itself if the manifest
+    /// lacks that cell.
+    pub(crate) fn clamp(
+        &self,
+        ctx: &AbrContext<'_>,
+        pick: Representation,
+        fps: Fps,
+    ) -> Representation {
+        let res = pick.resolution.min(self.res_cap);
+        ctx.manifest.representation(res, fps).unwrap_or(pick)
     }
 
-    fn tighten(&mut self, trim: TrimLevel, drop_pct: f64) {
+    fn tighten(&mut self, trim: TrimLevel, dropping: bool) {
         match trim {
             TrimLevel::Critical => {
                 self.fps_cap = Fps::F24;
@@ -92,77 +92,73 @@ impl<A: Abr> MemoryAware<A> {
             }
             TrimLevel::Low => {
                 self.fps_cap = Fps::F24;
-                self.res_cap = self
-                    .res_cap
-                    .step_down()
-                    .unwrap_or(self.cfg.min_resolution)
-                    .max(self.cfg.min_resolution);
+                self.res_cap = self.res_cap.step_down().unwrap_or(self.res_cap);
             }
-            TrimLevel::Moderate => {
-                // First lever: frame rate. Escalate 60→48, and 48→24 only if
-                // drops persist.
+            // First lever: frame rate. Escalate 60→48, and 48→24 only if
+            // drops persist. Heavy drops with no trim signal take the same
+            // step: the decode path itself cannot keep up.
+            TrimLevel::Moderate | TrimLevel::Normal => {
                 self.fps_cap = match self.fps_cap {
                     Fps::F60 => Fps::F48,
-                    Fps::F48 | Fps::F30 if drop_pct > self.cfg.drop_react_pct => Fps::F24,
+                    Fps::F48 | Fps::F30 if dropping => Fps::F24,
                     cap => cap,
                 };
             }
-            TrimLevel::Normal => unreachable!("tighten is only called under pressure"),
         }
     }
 
-    fn relax(&mut self) {
+    fn relax(&mut self, preferred_fps: Fps) {
         // Restore resolution first (biggest QoE win), then frame rate.
         if self.res_cap < Resolution::R1440p {
             self.res_cap = self.res_cap.step_up().unwrap_or(Resolution::R1440p);
             return;
         }
-        self.fps_cap = match (self.fps_cap, self.preferred_fps) {
+        self.fps_cap = match (self.fps_cap, preferred_fps) {
             (Fps::F24, pref) if pref >= Fps::F30 => Fps::F30,
             (Fps::F30, pref) if pref >= Fps::F48 => Fps::F48,
             (Fps::F48, pref) if pref >= Fps::F60 => Fps::F60,
             (cap, _) => cap,
         };
     }
+
+    /// The caps' fields as a snapshot map, with the wrapping policy's own
+    /// state appended under `key`.
+    pub(crate) fn state_with(&self, key: &str, rest: serde::Value) -> serde::Value {
+        let mut state = serde::to_value(self);
+        if let serde::Value::Map(entries) = &mut state {
+            entries.push((key.into(), rest));
+        }
+        state
+    }
+}
+
+/// The memory-aware wrapper.
+#[derive(Debug, Clone)]
+pub struct MemoryAware<A> {
+    inner: A,
+    /// The frame rate the user/content wants when unconstrained.
+    preferred_fps: Fps,
+    caps: MemoryCaps,
+}
+
+impl<A: Abr> MemoryAware<A> {
+    /// Wrap `inner`, preferring `preferred_fps` when memory allows.
+    pub fn new(inner: A, preferred_fps: Fps) -> MemoryAware<A> {
+        MemoryAware {
+            inner,
+            preferred_fps,
+            caps: MemoryCaps::new(preferred_fps),
+        }
+    }
 }
 
 impl<A: Abr> Abr for MemoryAware<A> {
     fn choose(&mut self, ctx: &AbrContext<'_>) -> Representation {
-        if ctx.trim_level.is_pressure() {
-            self.normal_streak = 0;
-            self.tighten(ctx.trim_level, ctx.recent_drop_pct);
-        } else if ctx.recent_drop_pct > self.cfg.drop_react_pct {
-            // No memory pressure but the device still can't keep up: the
-            // decode path is the bottleneck. Reduce frame rate persistently.
-            self.normal_streak = 0;
-            self.fps_cap = match self.fps_cap {
-                Fps::F60 => Fps::F48,
-                Fps::F48 | Fps::F30 => Fps::F24,
-                Fps::F24 => Fps::F24,
-            };
-        } else {
-            self.normal_streak += 1;
-            if self.normal_streak >= self.cfg.recovery_patience {
-                self.normal_streak = 0;
-                self.relax();
-            }
-        }
-
+        let fps = self.caps.update(ctx, self.preferred_fps);
         // Network policy picks the resolution it can sustain…
         let inner_pick = self.inner.choose(ctx);
         // …then memory caps apply.
-        let fps = if self.fps_cap.value() < self.preferred_fps.value() {
-            self.fps_cap
-        } else {
-            self.preferred_fps
-        };
-        let res = inner_pick
-            .resolution
-            .min(self.res_cap)
-            .max(self.cfg.min_resolution);
-        ctx.manifest
-            .representation(res, fps)
-            .unwrap_or(inner_pick)
+        self.caps.clamp(ctx, inner_pick, fps)
     }
 
     fn name(&self) -> &'static str {
@@ -170,24 +166,12 @@ impl<A: Abr> Abr for MemoryAware<A> {
     }
 
     fn state_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("fps_cap".into(), serde::to_value(&self.fps_cap)),
-            ("res_cap".into(), serde::to_value(&self.res_cap)),
-            ("normal_streak".into(), serde::to_value(&self.normal_streak)),
-            ("inner".into(), self.inner.state_value()),
-        ])
+        self.caps.state_with("inner", self.inner.state_value())
     }
 
     fn restore_state(&mut self, state: &serde::Value) -> Result<(), serde::de::Error> {
-        let field = |name: &str| {
-            state.get(name).ok_or_else(|| {
-                serde::de::Error::custom(format!("MemoryAware state missing {name}"))
-            })
-        };
-        self.fps_cap = serde::from_value(field("fps_cap")?)?;
-        self.res_cap = serde::from_value(field("res_cap")?)?;
-        self.normal_streak = serde::from_value(field("normal_streak")?)?;
-        self.inner.restore_state(field("inner")?)
+        self.caps = serde::from_value(state)?;
+        self.inner.restore_state(saved_entry(state, "inner")?)
     }
 }
 
@@ -286,18 +270,5 @@ mod tests {
         assert_eq!(r.resolution, Resolution::R240p, "network picks low rung");
         assert_eq!(r.fps, Fps::F48, "memory caps the frame rate");
         assert_eq!(abr.name(), "memory-aware");
-    }
-
-    #[test]
-    fn respects_resolution_floor() {
-        let m = manifest();
-        let cfg = MemoryAwareConfig {
-            min_resolution: Resolution::R360p,
-            ..Default::default()
-        };
-        let inner = FixedAbr::new(m.representation(Resolution::R240p, Fps::F60).unwrap());
-        let mut abr = MemoryAware::with_config(inner, Fps::F60, cfg);
-        let r = abr.choose(&ctx(&m, 58.0, None, TrimLevel::Critical));
-        assert_eq!(r.resolution, Resolution::R360p);
     }
 }

@@ -2,7 +2,7 @@
 //! SIGCOMM '15).
 //!
 //! Instead of reacting to the last sample, [`Mpc`] plans: for every rung
-//! on the ladder it simulates the buffer over the next `horizon` segments
+//! on the ladder it simulates the buffer over the next `HORIZON` segments
 //! — manifest-declared segment sizes ([`AbrContext::upcoming_segment_bytes`])
 //! divided by a robust bandwidth prediction — and commits to the rung
 //! maximizing expected QoE (log-bitrate utility minus rebuffer and switch
@@ -11,36 +11,25 @@
 //! prediction error observed recently, so a bursty link (handovers,
 //! tunnels) earns a wider safety margin.
 
-use crate::context::{Abr, AbrContext};
+use crate::context::{saved_entry, Abr, AbrContext};
 use mvqoe_video::{Fps, Representation};
+use serde::{Deserialize, Serialize};
 
 /// How many past prediction errors the robust discount remembers.
 const ERROR_WINDOW: usize = 5;
 
-/// Tuning knobs shared by [`Mpc`] and the hybrid controller.
-#[derive(Debug, Clone, Copy)]
-pub struct MpcConfig {
-    /// Segments of lookahead.
-    pub horizon: u32,
-    /// Utility units charged per second of predicted rebuffering.
-    pub rebuffer_penalty: f64,
-    /// Utility units charged per unit of log-bitrate switch distance.
-    pub switch_penalty: f64,
-}
+/// Segments of lookahead.
+const HORIZON: u32 = 5;
 
-impl Default for MpcConfig {
-    fn default() -> Self {
-        MpcConfig {
-            horizon: 5,
-            rebuffer_penalty: 8.0,
-            switch_penalty: 1.0,
-        }
-    }
-}
+/// Utility units charged per second of predicted rebuffering.
+const REBUFFER_PENALTY: f64 = 8.0;
+
+/// Utility units charged per unit of log-bitrate switch distance.
+const SWITCH_PENALTY: f64 = 1.0;
 
 /// The robust throughput predictor: the context's shared estimate divided
 /// by (1 + max recent relative error).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub(crate) struct Predictor {
     past_errors: Vec<f64>,
     last_prediction: Option<f64>,
@@ -62,35 +51,14 @@ impl Predictor {
         self.last_prediction = Some(pred);
         Some(pred)
     }
-
-    pub(crate) fn state_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("past_errors".into(), serde::to_value(&self.past_errors)),
-            (
-                "last_prediction".into(),
-                serde::to_value(&self.last_prediction),
-            ),
-        ])
-    }
-
-    pub(crate) fn restore(&mut self, state: &serde::Value) -> Result<(), serde::de::Error> {
-        let field = |name: &str| {
-            state
-                .get(name)
-                .ok_or_else(|| serde::de::Error::custom(format!("Predictor state missing {name}")))
-        };
-        self.past_errors = serde::from_value(field("past_errors")?)?;
-        self.last_prediction = serde::from_value(field("last_prediction")?)?;
-        Ok(())
-    }
 }
 
 /// Expected QoE of streaming the next segments at `rep`, under a constant
 /// bandwidth prediction: per-segment log-bitrate utility, minus the
 /// rebuffering the buffer simulation predicts, minus a switch penalty
 /// against the previous segment's bitrate.
-fn plan_score(ctx: &AbrContext<'_>, cfg: &MpcConfig, rep: Representation, pred_mbps: f64) -> f64 {
-    let n = cfg.horizon.min(ctx.segments_remaining()).max(1);
+fn plan_score(ctx: &AbrContext<'_>, rep: Representation, pred_mbps: f64) -> f64 {
+    let n = HORIZON.min(ctx.segments_remaining()).max(1);
     let seg_secs = ctx.segment_seconds();
     let seg_bits = ctx.upcoming_segment_bytes(rep, 1) as f64 * 8.0;
     let dl_secs = seg_bits / (pred_mbps.max(1e-3) * 1e6);
@@ -118,14 +86,13 @@ fn plan_score(ctx: &AbrContext<'_>, cfg: &MpcConfig, rep: Representation, pred_m
         }
         None => 0.0,
     };
-    f64::from(n) * utility - cfg.rebuffer_penalty * rebuffer - cfg.switch_penalty * switch_cost
+    f64::from(n) * utility - REBUFFER_PENALTY * rebuffer - SWITCH_PENALTY * switch_cost
 }
 
 /// Pick the ladder rung at `fps` with the best lookahead score (ties go to
 /// the lower bitrate). Shared by [`Mpc`] and the hybrid controller.
 pub(crate) fn lookahead_pick(
     ctx: &AbrContext<'_>,
-    cfg: &MpcConfig,
     fps: Fps,
     pred_mbps: Option<f64>,
 ) -> Representation {
@@ -136,7 +103,7 @@ pub(crate) fn lookahead_pick(
     let mut best = lowest;
     let mut best_score = f64::NEG_INFINITY;
     for rep in ctx.ladder_at(fps) {
-        let score = plan_score(ctx, cfg, rep, pred);
+        let score = plan_score(ctx, rep, pred);
         if score > best_score {
             best_score = score;
             best = rep;
@@ -150,21 +117,14 @@ pub(crate) fn lookahead_pick(
 pub struct Mpc {
     /// Frame rate whose ladder is used.
     pub fps: Fps,
-    cfg: MpcConfig,
     predictor: Predictor,
 }
 
 impl Mpc {
-    /// Defaults: 5-segment horizon, rebuffer-dominant penalties.
+    /// A 5-segment horizon with rebuffer-dominant penalties.
     pub fn new(fps: Fps) -> Mpc {
-        Mpc::with_config(fps, MpcConfig::default())
-    }
-
-    /// Explicit configuration.
-    pub fn with_config(fps: Fps, cfg: MpcConfig) -> Mpc {
         Mpc {
             fps,
-            cfg,
             predictor: Predictor::default(),
         }
     }
@@ -173,7 +133,7 @@ impl Mpc {
 impl Abr for Mpc {
     fn choose(&mut self, ctx: &AbrContext<'_>) -> Representation {
         let pred = self.predictor.predict(ctx);
-        lookahead_pick(ctx, &self.cfg, self.fps, pred)
+        lookahead_pick(ctx, self.fps, pred)
     }
 
     fn name(&self) -> &'static str {
@@ -181,14 +141,12 @@ impl Abr for Mpc {
     }
 
     fn state_value(&self) -> serde::Value {
-        serde::Value::Map(vec![("predictor".into(), self.predictor.state_value())])
+        serde::Value::Map(vec![("predictor".into(), serde::to_value(&self.predictor))])
     }
 
     fn restore_state(&mut self, state: &serde::Value) -> Result<(), serde::de::Error> {
-        let field = state
-            .get("predictor")
-            .ok_or_else(|| serde::de::Error::custom("Mpc state missing predictor"))?;
-        self.predictor.restore(field)
+        self.predictor = serde::from_value(saved_entry(state, "predictor")?)?;
+        Ok(())
     }
 }
 

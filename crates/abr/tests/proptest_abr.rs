@@ -56,14 +56,28 @@ fn any_step() -> impl Strategy<Value = Step> {
         })
 }
 
-fn check_decision(
-    abr: &mut dyn Abr,
-    manifest: &Manifest,
+/// A pressure trajectory step: mostly clean segments (Normal, drops under
+/// the 10% reaction threshold), so the caps relax as well as tighten.
+fn pressure_step() -> impl Strategy<Value = Step> {
+    (
+        prop_oneof![3 => Just(TrimLevel::Normal), 1 => any_trim()],
+        prop_oneof![3 => 0.0f64..10.0, 1 => 0.0f64..100.0],
+        any_step(),
+    )
+        .prop_map(|(trim, drop_pct, step)| Step {
+            trim,
+            drop_pct,
+            ..step
+        })
+}
+
+fn context<'a>(
+    manifest: &'a Manifest,
     step: &Step,
     cap: Resolution,
     next_segment: u32,
-) -> Result<(), TestCaseError> {
-    let ctx = AbrContext {
+) -> AbrContext<'a> {
+    AbrContext {
         manifest,
         buffer_seconds: step.buffer,
         buffer_capacity: 60.0,
@@ -74,8 +88,17 @@ fn check_decision(
         screen_cap: cap,
         next_segment,
         last_download_secs: step.last_download_secs,
-    };
-    let rep = abr.choose(&ctx);
+    }
+}
+
+fn check_decision(
+    abr: &mut dyn Abr,
+    manifest: &Manifest,
+    step: &Step,
+    cap: Resolution,
+    next_segment: u32,
+) -> Result<(), TestCaseError> {
+    let rep = abr.choose(&context(manifest, step, cap, next_segment));
     prop_assert!(
         manifest
             .representation(rep.resolution, rep.fps)
@@ -154,23 +177,36 @@ proptest! {
             }
             let mut restored = make();
             restored.restore_state(&original.state_value()).unwrap();
-            let ctx = AbrContext {
-                manifest: &manifest,
-                buffer_seconds: probe.buffer,
-                buffer_capacity: 60.0,
-                throughput_mbps: probe.throughput,
-                trim_level: probe.trim,
-                recent_drop_pct: probe.drop_pct,
-                last: None,
-                screen_cap: Resolution::R1440p,
-                next_segment: steps.len() as u32,
-                last_download_secs: probe.last_download_secs,
-            };
+            let ctx = context(&manifest, &probe, Resolution::R1440p, steps.len() as u32);
             prop_assert_eq!(
                 original.choose(&ctx),
                 restored.choose(&ctx),
                 "{} diverged after state restore",
                 original.name()
+            );
+        }
+    }
+
+    /// The hybrid and the memory-aware wrapper share one cap state machine:
+    /// over any trim-level and drop trajectory they stream the same frame
+    /// rate at every step, so their arena differences come from the
+    /// bandwidth side alone.
+    #[test]
+    fn hybrid_and_memory_aware_pick_the_same_frame_rate(
+        steps in prop::collection::vec(pressure_step(), 1..60),
+    ) {
+        let manifest = Manifest::full_ladder(Genre::Travel, 120.0);
+        let n_segments = manifest.n_segments();
+        let mut hybrid = Hybrid::new(Fps::F60);
+        let mut memory_aware = MemoryAware::new(BufferBased::new(Fps::F60), Fps::F60);
+        for (i, step) in steps.iter().enumerate() {
+            let ctx = context(&manifest, step, Resolution::R1440p, (i as u32).min(n_segments));
+            prop_assert_eq!(
+                hybrid.choose(&ctx).fps,
+                memory_aware.choose(&ctx).fps,
+                "step {} of {:?}",
+                i,
+                steps
             );
         }
     }

@@ -3,7 +3,8 @@
 //!
 //! Each experiment is an [`Experiment`] entry whose runner runs at a
 //! [`Scale`], prints its report (banners, paper anchors, telemetry
-//! showcase) and returns its data as a [`serde_json::Value`]. [`cli`]
+//! showcase) and returns its artifact's JSON text, serialized straight
+//! from the typed result. [`cli`]
 //! dispatches on its first argument: `mvqoe <experiment>` runs one entry,
 //! `mvqoe all` runs every entry marked for the full pass, `mvqoe list`
 //! prints the table, and `mvqoe lint <file>...` checks written artifacts.
@@ -25,7 +26,6 @@ use mvqoe_device::DeviceProfile;
 use mvqoe_metrics::selfprof;
 use mvqoe_video::PlayerKind;
 use serde::Deserialize;
-use serde_json::Value;
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -47,16 +47,17 @@ pub struct Experiment {
     pub in_all: bool,
     /// The artifact's check; `None` when the artifact has no rules.
     pub check: Option<Check>,
-    /// Run at a scale, print the report, and return the artifact data.
-    pub run: fn(&Scale) -> Value,
+    /// Run at a scale, print the report, and return the artifact's JSON
+    /// text.
+    pub run: fn(&Scale) -> String,
 }
 
-/// Print an experiment's result and return it as artifact data.
+/// Print an experiment's result and return its artifact text.
 macro_rules! printed {
     ($result:expr) => {{
         let result = $result;
         result.print();
-        serde_json::to_value(&result)
+        report::pretty_json(&result)
     }};
 }
 
@@ -80,7 +81,7 @@ pub static ALL: &[Experiment] = &[
             let f = fig8::run(scale);
             f.print();
             telemetry::showcase("fig8", &DeviceProfile::nexus5(), scale);
-            serde_json::to_value(&f)
+            report::pretty_json(&f)
         },
     },
     Experiment {
@@ -101,7 +102,7 @@ pub static ALL: &[Experiment] = &[
             );
             println!("paper: Normal 0/0/0/0; Moderate 40/100/40/100; Critical 100/100/100/100");
             telemetry::showcase("fig9_table2", &DeviceProfile::nokia1(), scale);
-            serde_json::to_value(&grid)
+            report::pretty_json(&grid)
         },
     },
     Experiment {
@@ -130,7 +131,7 @@ pub static ALL: &[Experiment] = &[
             );
             println!("paper: Normal 0/0/0/0; Moderate 10/100/0/100; Critical 100/100/70/100");
             telemetry::showcase("fig11_table3", &DeviceProfile::nexus5(), scale);
-            serde_json::to_value(&grid)
+            report::pretty_json(&grid)
         },
     },
     Experiment {
@@ -145,7 +146,7 @@ pub static ALL: &[Experiment] = &[
             grid.print_drops(&["Normal", "Moderate", "Critical"]);
             println!("paper: drops only at ≥720p; highest ≈9% at 1080p60");
             telemetry::showcase("nexus6p", &DeviceProfile::nexus6p(), scale);
-            serde_json::to_value(&grid)
+            report::pretty_json(&grid)
         },
     },
     Experiment {
@@ -165,7 +166,7 @@ pub static ALL: &[Experiment] = &[
                 "paper: same trend across genres — low drops at 30 FPS, significant at 60 FPS, \
                  rising with pressure/resolution"
             );
-            serde_json::to_value(&grids)
+            report::pretty_json(&grids)
         },
     },
     Experiment {
@@ -178,7 +179,7 @@ pub static ALL: &[Experiment] = &[
             let t = trace_exp::run(scale);
             t.print();
             telemetry::showcase("table4_table5_fig13", &DeviceProfile::nokia1(), scale);
-            serde_json::to_value(&t)
+            report::pretty_json(&t)
         },
     },
     Experiment {
@@ -230,7 +231,7 @@ pub static ALL: &[Experiment] = &[
             println!(
                 "paper: far fewer drops than Firefox, but still significant crashes at high pressure"
             );
-            serde_json::to_value(&grid)
+            report::pretty_json(&grid)
         },
     },
     Experiment {
@@ -248,7 +249,7 @@ pub static ALL: &[Experiment] = &[
                 &["Normal", "Moderate", "Critical"],
             );
             println!("paper: fewer drops than Firefox (smaller footprint), but crashes persist");
-            serde_json::to_value(&grid)
+            report::pretty_json(&grid)
         },
     },
     Experiment {
@@ -327,14 +328,13 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
 /// utilization and, under `--profile`, the self-profiling totals) and,
 /// when the runner stashed per-cell snapshots (`--metrics`),
 /// `<artifact>.metrics.json`. Only the sidecars vary run to run.
-pub fn run_one(exp: &Experiment, scale: &Scale) -> Value {
+pub fn run_one(exp: &Experiment, scale: &Scale) {
     if scale.profile {
         selfprof::reset();
         selfprof::set_enabled(true);
     }
     let start = Instant::now();
-    let value = (exp.run)(scale);
-    report::write_json(exp.artifact, &value);
+    report::write_json(exp.artifact, &(exp.run)(scale));
     let stash = runner::drain_stash();
     let meta = report::RunMeta {
         jobs: scale.jobs,
@@ -344,11 +344,11 @@ pub fn run_one(exp: &Experiment, scale: &Scale) -> Value {
         workers: stash.workers,
         profile: scale.profile.then(selfprof::snapshot),
     };
-    report::write_json(&format!("{}.meta", exp.artifact), &meta);
+    report::write_json(&format!("{}.meta", exp.artifact), &report::pretty_json(&meta));
     if !stash.metrics.is_empty() {
-        report::write_json(&format!("{}.metrics", exp.artifact), &stash.metrics);
+        let metrics = report::pretty_json(&stash.metrics);
+        report::write_json(&format!("{}.metrics", exp.artifact), &metrics);
     }
-    value
 }
 
 /// Print the registry as a name → artifact table (`mvqoe list`).

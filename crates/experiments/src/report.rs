@@ -61,20 +61,21 @@ pub fn results_dir() -> PathBuf {
     dir.join("results")
 }
 
-/// Write an experiment's machine-readable result.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
+/// The pretty-printed JSON text of an artifact or sidecar.
+pub fn pretty_json<T: Serialize>(value: &T) -> String {
+    serde_json::to_string_pretty(value).expect("the JSON writer cannot fail")
+}
+
+/// Write an experiment's machine-readable result, `json` text, as
+/// `results/<name>.json`.
+pub fn write_json(name: &str, json: &str) {
     let dir = results_dir();
     if std::fs::create_dir_all(&dir).is_err() {
         return;
     }
     let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(s) => {
-            if std::fs::write(&path, s).is_ok() {
-                println!("[json] {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("[json] failed to serialize {name}: {e}"),
+    if std::fs::write(&path, json).is_ok() {
+        println!("[json] {}", path.display());
     }
 }
 
