@@ -12,11 +12,13 @@
 //! exits non-zero.
 
 use criterion::{black_box, Criterion};
+use mvqoe_abr::FixedAbr;
+use mvqoe_core::{run_cells_parallel, CellSpec, PressureMode, SessionConfig};
 use mvqoe_device::{DeviceProfile, Machine, StepOutputs};
-use mvqoe_experiments::{fig8, Scale};
 use mvqoe_kernel::{Pages, ProcKind};
 use mvqoe_sched::SchedClass;
 use mvqoe_sim::{SimDuration, SimRng};
+use mvqoe_video::{Fps, Genre, Manifest, Resolution};
 use std::time::Instant;
 
 /// A machine with recording off, as the bulk experiment grid runs it.
@@ -74,16 +76,34 @@ fn loaded_ns_per_tick(skip_enabled: bool, ticks: u64) -> f64 {
     start.elapsed().as_nanos() as f64 / ticks as f64
 }
 
-/// Wall-clock seconds for the full Fig. 8 grid (quick scale, 1 rep).
+/// Wall-clock seconds for the ten Fig. 8 sessions (Nexus 5, no pressure,
+/// 100 s of video, one repetition, one worker), configured as `mvqoe fig8
+/// --quick` runs them, stepping densely or with the event-driven skip.
 fn fig8_secs(dense: bool) -> f64 {
-    let mut scale = Scale::quick();
-    scale.runs = 1;
-    mvqoe_core::set_dense_ticks(dense);
+    let video_secs = 100.0;
+    let manifest = Manifest::full_ladder(Genre::Travel, video_secs);
+    let mut specs = Vec::new();
+    for fps in [Fps::F30, Fps::F60] {
+        for res in [
+            Resolution::R240p,
+            Resolution::R360p,
+            Resolution::R480p,
+            Resolution::R720p,
+            Resolution::R1080p,
+        ] {
+            let mut cfg =
+                SessionConfig::paper_default(DeviceProfile::nexus5(), PressureMode::None, 42);
+            cfg.video_secs = video_secs;
+            cfg.dense_ticks = dense;
+            let rep = manifest
+                .representation(res, fps)
+                .expect("ladder covers every Fig. 8 cell");
+            specs.push(CellSpec::new(cfg, 1, move || Box::new(FixedAbr::new(rep))));
+        }
+    }
     let start = Instant::now();
-    black_box(fig8::run(&scale));
-    let secs = start.elapsed().as_secs_f64();
-    mvqoe_core::set_dense_ticks(false);
-    secs
+    black_box(run_cells_parallel("fig8", &specs, 1));
+    start.elapsed().as_secs_f64()
 }
 
 fn main() {

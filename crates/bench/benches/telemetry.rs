@@ -1,14 +1,12 @@
 //! Telemetry overhead: how much does the metrics registry cost a session?
 //!
-//! Runs the same 12 s Nexus 5 Moderate-pressure session four ways — no
-//! telemetry handle at all (`run_session`), a disabled registry (every
-//! `inc`/`observe` hits the `enabled` guard and returns), a fully
-//! enabled registry, and the causal attribution engine switched on — then
-//! writes the measured overheads to `BENCH_telemetry.json` at the
-//! workspace root. The disabled path is the one every golden-output run
-//! takes, so its overhead must stay in the noise (< 2%); the same bound
-//! guards attribution, whose fact harvesting and blame matching run on
-//! every step of a pressured session. Attribution *disabled* is the
+//! Runs the same 12 s Nexus 5 Moderate-pressure session three ways — no
+//! telemetry handle at all (`run_session`, the path every golden-output
+//! run takes), a recording registry, and the causal attribution engine
+//! switched on — then writes the measured overheads to
+//! `BENCH_telemetry.json` at the workspace root. Attribution, whose fact
+//! harvesting and blame matching run on every step of a pressured
+//! session, must stay in the noise (< 2%). Attribution *disabled* is the
 //! baseline itself (`SessionConfig::attribution` defaults to `false` and
 //! every engine entry point is behind one branch), so its zero overhead
 //! is enforced stronger than a timing bound: the committed golden
@@ -41,7 +39,6 @@ fn abr() -> FixedAbr {
 #[derive(Clone, Copy)]
 enum Mode {
     Off,
-    Disabled,
     Enabled,
     Attribution,
 }
@@ -52,10 +49,6 @@ fn run_once(mode: Mode) {
     match mode {
         Mode::Off => {
             black_box(run_session(&cfg, &mut abr));
-        }
-        Mode::Disabled => {
-            let mut t = Telemetry::disabled();
-            black_box(run_session_with(&cfg, &mut abr, Some(&mut t)));
         }
         Mode::Enabled => {
             let mut t = Telemetry::enabled();
@@ -82,12 +75,12 @@ fn time_batch(mode: Mode) -> f64 {
 
 /// Best-of-`samples` batch wall-clock for each mode, with the modes
 /// interleaved round-robin so slow drift (frequency scaling, co-tenants)
-/// hits all four equally. The minimum is the noise-robust statistic here:
+/// hits all three equally. The minimum is the noise-robust statistic here:
 /// interference only ever adds time.
-fn time_modes(samples: usize) -> [f64; 4] {
-    let mut best = [f64::INFINITY; 4];
+fn time_modes(samples: usize) -> [f64; 3] {
+    let mut best = [f64::INFINITY; 3];
     for _ in 0..samples {
-        for (i, mode) in [Mode::Off, Mode::Disabled, Mode::Enabled, Mode::Attribution]
+        for (i, mode) in [Mode::Off, Mode::Enabled, Mode::Attribution]
             .into_iter()
             .enumerate()
         {
@@ -105,9 +98,6 @@ fn main() {
     let mut g = c.benchmark_group("telemetry");
     g.sample_size(samples);
     g.bench_function("session_telemetry_off", |b| b.iter(|| run_once(Mode::Off)));
-    g.bench_function("session_telemetry_disabled", |b| {
-        b.iter(|| run_once(Mode::Disabled))
-    });
     g.bench_function("session_telemetry_enabled", |b| {
         b.iter(|| run_once(Mode::Enabled))
     });
@@ -117,23 +107,21 @@ fn main() {
     g.finish();
 
     run_once(Mode::Off); // warm-up
-    let [off_secs, disabled_secs, enabled_secs, attribution_secs] = time_modes(samples);
+    let [off_secs, enabled_secs, attribution_secs] = time_modes(samples);
     let pct = |s: f64| (s / off_secs.max(1e-9) - 1.0) * 100.0;
-    let disabled_overhead_pct = pct(disabled_secs);
     let enabled_overhead_pct = pct(enabled_secs);
     let attribution_overhead_pct = pct(attribution_secs);
     println!(
-        "telemetry overhead vs off ({off_secs:.4} s): disabled {disabled_overhead_pct:+.2}%, \
-         enabled {enabled_overhead_pct:+.2}%, attribution {attribution_overhead_pct:+.2}%"
+        "telemetry overhead vs off ({off_secs:.4} s): enabled {enabled_overhead_pct:+.2}%, \
+         attribution {attribution_overhead_pct:+.2}%"
     );
 
     if !test_mode {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_telemetry.json");
         let json = format!(
             "{{\n  \"bench\": \"session_telemetry_overhead\",\n  \"off_secs\": {off_secs:.4},\n  \
-             \"disabled_secs\": {disabled_secs:.4},\n  \"enabled_secs\": {enabled_secs:.4},\n  \
+             \"enabled_secs\": {enabled_secs:.4},\n  \
              \"attribution_secs\": {attribution_secs:.4},\n  \
-             \"disabled_overhead_pct\": {disabled_overhead_pct:.2},\n  \
              \"enabled_overhead_pct\": {enabled_overhead_pct:.2},\n  \
              \"attribution_overhead_pct\": {attribution_overhead_pct:.2}\n}}\n"
         );
@@ -145,8 +133,8 @@ fn main() {
 
     // Regression guard: the attribution engine rides the hot per-step path
     // (fact harvesting, stall open/close, drop counting), so it must stay
-    // inside the same < 2% budget the disabled registry holds. Skipped in
-    // --test mode, where debug codegen makes wall-clock meaningless.
+    // inside a < 2% budget. Skipped in --test mode, where debug codegen
+    // makes wall-clock meaningless.
     if !test_mode && attribution_overhead_pct > 2.0 {
         eprintln!(
             "REGRESSION: attribution engine adds {attribution_overhead_pct:.2}% to a pressured \

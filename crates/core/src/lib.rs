@@ -41,25 +41,6 @@ pub use session::{
 };
 pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_FORMAT_VERSION};
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide default for [`SessionConfig::dense_ticks`], set from the
-/// `--dense-ticks` experiment flag before any session runs. The event-driven
-/// skip is byte-identical to dense stepping by construction; this switch
-/// exists to *prove* that on any grid while bisecting a suspected skip
-/// regression.
-static DENSE_TICKS: AtomicBool = AtomicBool::new(false);
-
-/// Make new sessions step densely (1 ms per step, no event-driven skip).
-pub fn set_dense_ticks(on: bool) {
-    DENSE_TICKS.store(on, Ordering::Relaxed);
-}
-
-/// The current process-wide dense-ticks default.
-pub fn dense_ticks_default() -> bool {
-    DENSE_TICKS.load(Ordering::Relaxed)
-}
-
 /// Peak resident-set size of this process in MiB (`VmHWM` from
 /// `/proc/self/status`), or `None` where procfs is unavailable. The
 /// memory-bounded fleet engine reports this and enforces

@@ -87,7 +87,7 @@ impl SessionConfig {
             buffer_secs: 60.0,
             record_trace: false,
             mmcqd_fair: false,
-            dense_ticks: crate::dense_ticks_default(),
+            dense_ticks: false,
             attribution: false,
         }
     }

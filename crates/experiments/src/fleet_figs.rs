@@ -15,7 +15,7 @@ use crate::scale::Scale;
 use mvqoe_kernel::TrimLevel;
 use mvqoe_metrics::MetricsSnapshot;
 use mvqoe_sim::stats;
-use mvqoe_study::{simulate_range, FleetAggregate, FleetConfig, FleetResults};
+use mvqoe_study::{simulate_range, FleetAggregate, FleetConfig};
 use serde::{Deserialize, Serialize, Serializer};
 use std::path::{Path, PathBuf};
 
@@ -305,8 +305,8 @@ pub fn run_fleet_sharded(
 
 /// Run the fleet and extract every figure. Shards are independently
 /// seeded contiguous index ranges, so they fan out over `scale.jobs`
-/// workers — and merge — with results identical to the serial
-/// [`mvqoe_study::run_fleet`] path at any worker or shard count.
+/// workers — and merge — with results identical to a serial
+/// [`simulate_range`] over the whole fleet at any worker or shard count.
 pub fn run(scale: &Scale) -> FleetFigures {
     let cfg = fleet_config(scale);
     let ckpt_dir = (cfg.n_users >= CHECKPOINT_MIN_USERS)
@@ -326,18 +326,14 @@ pub fn run(scale: &Scale) -> FleetFigures {
             cfg.n_users as f64 / secs.max(1e-9),
         );
     }
-    let fleet = FleetResults {
-        aggregate: sharded.aggregate,
-    };
-    extract(&fleet)
+    extract(&sharded.aggregate)
 }
 
 /// Extract the §3 figures from streamed fleet state. Per-device series
 /// read the digest list (complete up to the aggregate's cap — far beyond
 /// figure scale); headline fractions come from exact counters; Figs. 5–6
 /// read the bounded top-K and pooling-ladder state.
-pub fn extract(fleet: &FleetResults) -> FleetFigures {
-    let agg = &fleet.aggregate;
+pub fn extract(agg: &FleetAggregate) -> FleetFigures {
     let kept = agg.kept;
     let frac = |count: u64| {
         if kept == 0 {
@@ -367,7 +363,7 @@ pub fn extract(fleet: &FleetResults) -> FleetFigures {
     let fig2 = Fig2 {
         frac_ge_60: frac(agg.counters.util_ge_60),
         frac_gt_75: frac(agg.counters.util_gt_75),
-        medians: fleet.median_utilizations(),
+        medians: agg.digests.iter().map(|d| d.median_utilization).collect(),
     };
 
     // Fig. 3.
@@ -412,7 +408,7 @@ pub fn extract(fleet: &FleetResults) -> FleetFigures {
 
     // Fig. 5.
     let mut spreads = Vec::new();
-    for d in fleet.top_pressure_devices(5) {
+    for d in agg.top.iter().take(5) {
         for level in TrimLevel::ALL {
             let h = &d.avail_by_state[level.severity()];
             if h.n() == 0 {
@@ -434,7 +430,7 @@ pub fn extract(fleet: &FleetResults) -> FleetFigures {
     // Fig. 6: pool devices spending > 30% out of Normal; the aggregate's
     // threshold ladder relaxes exactly like the original halving loop if
     // the fleet is too healthy for any to qualify.
-    let pool = fleet.fig6_pool();
+    let pool = agg.fig6_pool();
     let mut transition_probs = Vec::new();
     for from in TrimLevel::ALL {
         let mut row = [0.0f64; 4];
@@ -457,9 +453,9 @@ pub fn extract(fleet: &FleetResults) -> FleetFigures {
     };
 
     FleetFigures {
-        recruited: fleet.recruited(),
+        recruited: agg.recruited,
         kept: kept as usize,
-        total_hours: fleet.total_hours(),
+        total_hours: agg.total_hours(),
         fig1,
         fig2,
         fig3,

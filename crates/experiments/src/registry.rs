@@ -10,7 +10,7 @@
 //! prints the table, and `mvqoe lint <file>...` checks written artifacts.
 //! Every run shares the same flags (`--quick`, `--jobs`, `--fleet-users`,
 //! `--fleet-hours`, `--rss-limit-mib`, `--perfetto`, `--metrics`,
-//! `--dense-ticks`, `--profile`, `--list`) and the same artifact plumbing
+//! `--profile`, `--list`) and the same artifact plumbing
 //! (`results/<artifact>.json` + `.meta.json` / `.metrics.json` sidecars).
 //!
 //! An entry's `check` parses its artifact back into the struct that wrote
@@ -48,8 +48,8 @@ pub struct Experiment {
     /// The artifact's check; `None` when the artifact has no rules.
     pub check: Option<Check>,
     /// Run at a scale, print the report, and return the artifact's JSON
-    /// text.
-    pub run: fn(&Scale) -> String,
+    /// text, or why the run could not finish.
+    pub run: fn(&Scale) -> Result<String, String>,
 }
 
 /// Print an experiment's result and return its artifact text.
@@ -57,7 +57,7 @@ macro_rules! printed {
     ($result:expr) => {{
         let result = $result;
         result.print();
-        report::pretty_json(&result)
+        Ok(report::pretty_json(&result))
     }};
 }
 
@@ -80,8 +80,8 @@ pub static ALL: &[Experiment] = &[
         run: |scale| {
             let f = fig8::run(scale);
             f.print();
-            telemetry::showcase("fig8", &DeviceProfile::nexus5(), scale);
-            report::pretty_json(&f)
+            telemetry::showcase("fig8", &DeviceProfile::nexus5(), scale)?;
+            Ok(report::pretty_json(&f))
         },
     },
     Experiment {
@@ -101,8 +101,8 @@ pub static ALL: &[Experiment] = &[
                 &["Normal", "Moderate", "Critical"],
             );
             println!("paper: Normal 0/0/0/0; Moderate 40/100/40/100; Critical 100/100/100/100");
-            telemetry::showcase("fig9_table2", &DeviceProfile::nokia1(), scale);
-            report::pretty_json(&grid)
+            telemetry::showcase("fig9_table2", &DeviceProfile::nokia1(), scale)?;
+            Ok(report::pretty_json(&grid))
         },
     },
     Experiment {
@@ -130,8 +130,8 @@ pub static ALL: &[Experiment] = &[
                 &["Normal", "Moderate", "Critical"],
             );
             println!("paper: Normal 0/0/0/0; Moderate 10/100/0/100; Critical 100/100/70/100");
-            telemetry::showcase("fig11_table3", &DeviceProfile::nexus5(), scale);
-            report::pretty_json(&grid)
+            telemetry::showcase("fig11_table3", &DeviceProfile::nexus5(), scale)?;
+            Ok(report::pretty_json(&grid))
         },
     },
     Experiment {
@@ -145,8 +145,8 @@ pub static ALL: &[Experiment] = &[
             report::banner("§4.3", "frame drops on the Nexus 6P");
             grid.print_drops(&["Normal", "Moderate", "Critical"]);
             println!("paper: drops only at ≥720p; highest ≈9% at 1080p60");
-            telemetry::showcase("nexus6p", &DeviceProfile::nexus6p(), scale);
-            report::pretty_json(&grid)
+            telemetry::showcase("nexus6p", &DeviceProfile::nexus6p(), scale)?;
+            Ok(report::pretty_json(&grid))
         },
     },
     Experiment {
@@ -166,7 +166,7 @@ pub static ALL: &[Experiment] = &[
                 "paper: same trend across genres — low drops at 30 FPS, significant at 60 FPS, \
                  rising with pressure/resolution"
             );
-            report::pretty_json(&grids)
+            Ok(report::pretty_json(&grids))
         },
     },
     Experiment {
@@ -178,8 +178,8 @@ pub static ALL: &[Experiment] = &[
         run: |scale| {
             let t = trace_exp::run(scale);
             t.print();
-            telemetry::showcase("table4_table5_fig13", &DeviceProfile::nokia1(), scale);
-            report::pretty_json(&t)
+            telemetry::showcase("table4_table5_fig13", &DeviceProfile::nokia1(), scale)?;
+            Ok(report::pretty_json(&t))
         },
     },
     Experiment {
@@ -231,7 +231,7 @@ pub static ALL: &[Experiment] = &[
             println!(
                 "paper: far fewer drops than Firefox, but still significant crashes at high pressure"
             );
-            report::pretty_json(&grid)
+            Ok(report::pretty_json(&grid))
         },
     },
     Experiment {
@@ -249,7 +249,7 @@ pub static ALL: &[Experiment] = &[
                 &["Normal", "Moderate", "Critical"],
             );
             println!("paper: fewer drops than Firefox (smaller footprint), but crashes persist");
-            report::pretty_json(&grid)
+            Ok(report::pretty_json(&grid))
         },
     },
     Experiment {
@@ -306,7 +306,7 @@ pub static ALL: &[Experiment] = &[
         artifact: "service",
         in_all: false,
         check: Some(|json| parse::<serve::ServeResults>(json)?.validate()),
-        run: |scale| printed!(serve::run(scale)),
+        run: |scale| printed!(serve::run(scale)?),
     },
     Experiment {
         name: "table1",
@@ -327,14 +327,16 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
 /// sidecars: `<artifact>.meta.json` (wall clock, job count, per-worker
 /// utilization and, under `--profile`, the self-profiling totals) and,
 /// when the runner stashed per-cell snapshots (`--metrics`),
-/// `<artifact>.metrics.json`. Only the sidecars vary run to run.
-pub fn run_one(exp: &Experiment, scale: &Scale) {
+/// `<artifact>.metrics.json`. Only the sidecars vary run to run. The
+/// error says why the run stopped, naming any path it could not write.
+pub fn run_one(exp: &Experiment, scale: &Scale) -> Result<(), String> {
     if scale.profile {
         selfprof::reset();
         selfprof::set_enabled(true);
     }
     let start = Instant::now();
-    report::write_json(exp.artifact, &(exp.run)(scale));
+    let dir = report::results_dir();
+    report::write_json(&dir, exp.artifact, &(exp.run)(scale)?)?;
     let stash = runner::drain_stash();
     let meta = report::RunMeta {
         jobs: scale.jobs,
@@ -344,11 +346,12 @@ pub fn run_one(exp: &Experiment, scale: &Scale) {
         workers: stash.workers,
         profile: scale.profile.then(selfprof::snapshot),
     };
-    report::write_json(&format!("{}.meta", exp.artifact), &report::pretty_json(&meta));
+    report::write_json(&dir, &format!("{}.meta", exp.artifact), &report::pretty_json(&meta))?;
     if !stash.metrics.is_empty() {
         let metrics = report::pretty_json(&stash.metrics);
-        report::write_json(&format!("{}.metrics", exp.artifact), &metrics);
+        report::write_json(&dir, &format!("{}.metrics", exp.artifact), &metrics)?;
     }
+    Ok(())
 }
 
 /// Print the registry as a name → artifact table (`mvqoe list`).
@@ -424,7 +427,7 @@ pub fn lint_file(path: &Path, require_profile: bool) -> Result<String, String> {
 
 const USAGE: &str = "usage: mvqoe <experiment>|all [--quick] [--jobs N] [--fleet-users N] \
                      [--fleet-hours H] [--rss-limit-mib N] [--perfetto DIR] [--metrics] \
-                     [--profile] [--dense-ticks]
+                     [--profile]
        mvqoe list
        mvqoe lint [--require-profile] <file>...";
 
@@ -459,7 +462,8 @@ fn lint_cli(args: &[String]) -> ExitCode {
 
 /// The `mvqoe` command line (`args` without the program name): dispatch on
 /// the first argument to one experiment, `all`, `list` or `lint`. Exits 2
-/// on a usage error and 1 when a check or the RSS guard fails.
+/// on a usage error and 1 when a check or the RSS guard fails or a run
+/// cannot finish, such as when it cannot write its output.
 pub fn cli(args: &[String]) -> ExitCode {
     let command = args.first().map(String::as_str).unwrap_or("");
     if command == "list" || args.iter().any(|a| a == "--list") {
@@ -483,10 +487,12 @@ pub fn cli(args: &[String]) -> ExitCode {
         Ok(scale) => scale,
         Err(why) => return usage_error(&why),
     };
-    mvqoe_core::set_dense_ticks(scale.dense_ticks);
     let t0 = Instant::now();
     for exp in selected {
-        run_one(exp, &scale);
+        if let Err(why) = run_one(exp, &scale) {
+            eprintln!("{}: {why}", exp.name);
+            return ExitCode::FAILURE;
+        }
     }
     if command == "all" {
         println!(

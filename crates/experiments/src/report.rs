@@ -4,7 +4,7 @@ use mvqoe_core::WorkerStat;
 use mvqoe_metrics::selfprof::{self, PhaseProfile};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Print a header banner for an experiment.
 pub fn banner(id: &str, title: &str) {
@@ -67,16 +67,14 @@ pub fn pretty_json<T: Serialize>(value: &T) -> String {
 }
 
 /// Write an experiment's machine-readable result, `json` text, as
-/// `results/<name>.json`.
-pub fn write_json(name: &str, json: &str) {
-    let dir = results_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
+/// `<dir>/<name>.json`, creating `dir` first. The error names the path
+/// that could not be created or written.
+pub fn write_json(dir: &Path, name: &str, json: &str) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let path = dir.join(format!("{name}.json"));
-    if std::fs::write(&path, json).is_ok() {
-        println!("[json] {}", path.display());
-    }
+    std::fs::write(&path, json).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    println!("[json] {}", path.display());
+    Ok(())
 }
 
 /// Run metadata written next to an experiment's data JSON.
@@ -160,5 +158,32 @@ mod tests {
     #[test]
     fn pm_formats() {
         assert_eq!(pm(12.345, 0.67), "12.3 ± 0.7");
+    }
+
+    #[test]
+    fn write_json_names_the_path_it_cannot_write() {
+        let tmp = std::env::temp_dir().join(format!("mvqoe-write-json-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&tmp);
+        std::fs::create_dir_all(tmp.join("fig8.json")).unwrap();
+        let blocker = tmp.join("blocker");
+        std::fs::write(&blocker, "a regular file").unwrap();
+
+        // The results directory would have to live inside a regular file.
+        let dir = blocker.join("results");
+        let err = write_json(&dir, "fig8", "{}").unwrap_err();
+        assert!(err.contains(&dir.display().to_string()), "{err}");
+        // The artifact's own path is taken by a directory.
+        let err = write_json(&tmp, "fig8", "{}").unwrap_err();
+        assert!(
+            err.contains(&tmp.join("fig8.json").display().to_string()),
+            "{err}"
+        );
+
+        write_json(&tmp, "fig10", "{}").unwrap();
+        assert_eq!(
+            std::fs::read_to_string(tmp.join("fig10.json")).unwrap(),
+            "{}"
+        );
+        let _ = std::fs::remove_dir_all(&tmp);
     }
 }

@@ -30,10 +30,6 @@ pub struct Scale {
     /// `results/<name>.metrics.json` sidecar (`--metrics`). Observation
     /// only: the data JSONs stay byte-identical.
     pub metrics: bool,
-    /// Disable the event-driven time skip and step every 1 ms tick
-    /// (`--dense-ticks`). The outputs are byte-identical either way; this
-    /// debug switch exists for bisecting suspected skip regressions.
-    pub dense_ticks: bool,
     /// Fail the run (exit non-zero) if peak RSS exceeds this many MiB
     /// (`--rss-limit-mib N`) — the guard rail for memory-bounded
     /// million-user fleet runs.
@@ -56,7 +52,6 @@ impl Scale {
             jobs: 1,
             perfetto: None,
             metrics: false,
-            dense_ticks: false,
             rss_limit_mib: None,
             profile: false,
         }
@@ -73,7 +68,6 @@ impl Scale {
             jobs: 1,
             perfetto: None,
             metrics: false,
-            dense_ticks: false,
             rss_limit_mib: None,
             profile: false,
         }
@@ -139,12 +133,6 @@ impl Scale {
         self
     }
 
-    /// Toggle dense 1 ms stepping (disables the event-driven skip).
-    pub fn dense_ticks(mut self, on: bool) -> Scale {
-        self.dense_ticks = on;
-        self
-    }
-
     /// Set the peak-RSS guard rail in MiB.
     pub fn rss_limit_mib(mut self, limit: Option<u64>) -> Scale {
         self.rss_limit_mib = limit;
@@ -165,14 +153,13 @@ impl Scale {
     /// pins them), `--rss-limit-mib N` makes the run fail if peak RSS
     /// exceeds the bound, `--perfetto <dir>` exports a showcase trace per
     /// experiment, `--metrics` writes per-cell metrics snapshot sidecars,
-    /// `--dense-ticks` disables the event-driven time skip (byte-identical
-    /// outputs, for bisecting), and `--profile` records hot-path
-    /// self-profiling totals into the `.meta.json` sidecar. Every value
-    /// flag takes `--flag v` or `--flag=v`, and the last occurrence wins. An
-    /// unknown argument, a missing value or one that does not parse is an
-    /// error naming the argument.
+    /// and `--profile` records hot-path self-profiling totals into the
+    /// `.meta.json` sidecar. Every value flag takes `--flag v` or
+    /// `--flag=v`, and the last occurrence wins. An unknown argument, a
+    /// missing value or one that does not parse is an error naming the
+    /// argument.
     pub fn from_args(args: &[String]) -> Result<Scale, String> {
-        let (mut quick, mut metrics, mut dense_ticks, mut profile) = (false, false, false, false);
+        let (mut quick, mut metrics, mut profile) = (false, false, false);
         let (mut users, mut hours, mut rss, mut jobs, mut perfetto) =
             (None, None, None, None, None);
         let mut rest = args.iter().skip(1);
@@ -191,7 +178,6 @@ impl Scale {
             match name {
                 "--quick" | "-q" => flag(&mut quick)?,
                 "--metrics" => flag(&mut metrics)?,
-                "--dense-ticks" => flag(&mut dense_ticks)?,
                 "--profile" => flag(&mut profile)?,
                 "--jobs" | "-j" => jobs = Some(parse(name, &value(name, inline, &mut rest)?)?),
                 "--fleet-users" => users = Some(parse(name, &value(name, inline, &mut rest)?)?),
@@ -215,7 +201,6 @@ impl Scale {
             .rss_limit_mib(rss)
             .perfetto(perfetto)
             .metrics(metrics)
-            .dense_ticks(dense_ticks)
             .profile(profile))
     }
 
@@ -314,8 +299,8 @@ mod tests {
         );
         let pinned = parsed(&["exp", "--fleet-hours=2.5", "--fleet-users", "1000"]).unwrap();
         assert_eq!((pinned.fleet_users, pinned.fleet_hours), (1000, 2.5));
-        let flags = parsed(&["all", "-q", "--metrics", "--dense-ticks", "--profile"]).unwrap();
-        assert!(flags.metrics && flags.dense_ticks && flags.profile);
+        let flags = parsed(&["all", "-q", "--metrics", "--profile"]).unwrap();
+        assert!(flags.metrics && flags.profile);
         assert_eq!(flags.runs, Scale::quick().runs);
     }
 
@@ -330,6 +315,7 @@ mod tests {
         assert!(err(&["fig10", "-j"]).contains("-j needs a value"));
         assert!(err(&["fig10", "--quick=yes"]).contains("takes no value"));
         assert!(err(&["fig10", "extra"]).contains("extra"));
+        assert!(err(&["fig8", "--dense-ticks"]).contains("--dense-ticks"));
     }
 
     #[test]
@@ -350,14 +336,6 @@ mod tests {
         // An explicit fleet_hours override afterwards pins the median.
         let pinned = Scale::full().fleet_users(1000).fleet_hours(2.0);
         assert_eq!(pinned.fleet_hours, 2.0);
-    }
-
-    #[test]
-    fn dense_ticks_is_off_by_default() {
-        // The event-driven skip is the production path; dense stepping is
-        // opt-in (`--dense-ticks`) and must never be a default.
-        assert!(!Scale::full().dense_ticks);
-        assert!(!Scale::quick().dense_ticks);
     }
 
     #[test]

@@ -11,6 +11,8 @@ use mvqoe_metrics::{prometheus, SharedRegistry};
 use mvqoe_study::{FleetAggregate, FleetConfig};
 use mvqoe_telemetryd::{run_fleet_loadgen, Headline, IngestAck, ServiceState, TelemetryServer};
 use serde::{Deserialize, Serialize};
+use std::ffi::OsString;
+use std::str::FromStr;
 
 /// Everything `results/service.json` records about one service run.
 #[derive(Debug, Serialize, Deserialize)]
@@ -177,12 +179,21 @@ fn user_ranges(n_users: u32, connections: u32) -> Vec<std::ops::Range<u32>> {
         .collect()
 }
 
-/// Read a numeric knob from the environment (unset or unparsable → default).
-fn env_knob(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Read knob `name` from the environment with [`parse_knob`].
+fn env_knob<T: FromStr>(name: &str, default: T) -> Result<T, String> {
+    parse_knob(name, std::env::var_os(name), default)
+}
+
+/// Parse knob `name` from its raw value: unset is `default`, and a value
+/// that does not parse as a `T` is an error naming the variable.
+fn parse_knob<T: FromStr>(name: &str, raw: Option<OsString>, default: T) -> Result<T, String> {
+    match raw {
+        None => Ok(default),
+        Some(raw) => raw
+            .to_str()
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(|| format!("invalid value for {name}: {raw:?}")),
+    }
 }
 
 /// Run the service experiment: serve, ingest the fleet over concurrent
@@ -194,12 +205,14 @@ fn env_knob(name: &str, default: u64) -> u64 {
 /// many seconds after the run's own scrape, before the drain-and-verify
 /// step. Neither affects the recorded artifact: the scrape snapshot is
 /// taken before the hold, and external queries cannot touch the fleet
-/// aggregate.
-pub fn run(scale: &Scale) -> ServeResults {
+/// aggregate. A knob that is set to anything but a port number (`u16`)
+/// or a whole number of seconds is an error naming the variable.
+pub fn run(scale: &Scale) -> Result<ServeResults, String> {
+    let port: u16 = env_knob("MVQOE_SERVE_PORT", 0)?;
+    let hold: u64 = env_knob("MVQOE_SERVE_HOLD_SECS", 0)?;
     let cfg = fleet_config(scale);
     let shards = shard_count(cfg.n_users);
     let state = ServiceState::new(cfg, shards, SharedRegistry::new());
-    let port = env_knob("MVQOE_SERVE_PORT", 0) as u16;
     let server = TelemetryServer::start(state, port).expect("bind the loopback listener");
     let addr = server.addr();
     println!("[serve] listening on http://{addr}");
@@ -228,7 +241,6 @@ pub fn run(scale: &Scale) -> ServeResults {
     let scrape = without_wall_clock(&http_get(addr, "/metrics"));
     let stats = prometheus::validate(&scrape).expect("own scrape must validate");
 
-    let hold = env_knob("MVQOE_SERVE_HOLD_SECS", 0);
     if hold > 0 {
         println!("[serve] holding http://{addr} up for {hold} s (MVQOE_SERVE_HOLD_SECS)");
         std::thread::sleep(std::time::Duration::from_secs(hold));
@@ -239,7 +251,7 @@ pub fn run(scale: &Scale) -> ServeResults {
     let equivalent_to_batch = serde_json::to_string(&aggregate).expect("serialize")
         == serde_json::to_string(&batch.aggregate).expect("serialize");
 
-    ServeResults {
+    Ok(ServeResults {
         config: cfg,
         shards,
         loadgen_connections,
@@ -250,7 +262,7 @@ pub fn run(scale: &Scale) -> ServeResults {
         scrape_samples: stats.samples,
         scrape,
         aggregate,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -270,6 +282,23 @@ mod tests {
             }
             assert_eq!(next, n, "ranges must cover every user");
         }
+    }
+
+    #[test]
+    fn env_knobs_reject_values_their_type_cannot_hold() {
+        let port =
+            |raw: Option<&str>| parse_knob::<u16>("MVQOE_SERVE_PORT", raw.map(OsString::from), 0);
+        assert_eq!(port(None), Ok(0));
+        assert_eq!(port(Some("4464")), Ok(4464));
+        assert_eq!(port(Some("65535")), Ok(65535));
+        for bad in ["70000", "-1", "", "http", "80 "] {
+            let err = port(Some(bad)).unwrap_err();
+            assert!(err.contains("MVQOE_SERVE_PORT"), "{bad:?}: {err}");
+        }
+        let hold =
+            |raw: &str| parse_knob::<u64>("MVQOE_SERVE_HOLD_SECS", Some(OsString::from(raw)), 0);
+        assert_eq!(hold("30"), Ok(30));
+        assert!(hold("1.5").unwrap_err().contains("MVQOE_SERVE_HOLD_SECS"));
     }
 
     #[test]

@@ -31,10 +31,11 @@ const SHOWCASE_MAX_SECS: f64 = 60.0;
 
 /// Run the showcase session for experiment `name` on `device` and export
 /// whatever `scale` asked for (`--perfetto` trace, `--metrics` snapshot).
-/// A no-op unless telemetry was requested.
-pub fn showcase(name: &str, device: &DeviceProfile, scale: &Scale) {
+/// A no-op unless telemetry was requested. The error names the trace path
+/// that could not be created or written.
+pub fn showcase(name: &str, device: &DeviceProfile, scale: &Scale) -> Result<(), String> {
     if !scale.telemetry_requested() {
-        return;
+        return Ok(());
     }
     let experiment = format!("telemetry/{name}");
     let mut cfg = SessionConfig::paper_default(
@@ -57,19 +58,17 @@ pub fn showcase(name: &str, device: &DeviceProfile, scale: &Scale) {
 
     if let Some(dir) = &scale.perfetto {
         let dir = Path::new(dir);
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("[perfetto] cannot create {}: {e}", dir.display());
-            return;
-        }
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
         let path = dir.join(format!("{name}.trace.json"));
-        match write_chrome_trace(&out.machine.trace, &path) {
-            Ok(()) => println!("[perfetto] {}", path.display()),
-            Err(e) => eprintln!("[perfetto] failed to write {}: {e}", path.display()),
-        }
+        write_chrome_trace(&out.machine.trace, &path)
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        println!("[perfetto] {}", path.display());
     }
     if scale.metrics {
         runner::stash_snapshot(&experiment, telemetry.snapshot());
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -81,6 +80,20 @@ mod tests {
         // Telemetry off: must return immediately (sub-second) without
         // touching the stash or the filesystem.
         let scale = Scale::quick();
-        showcase("unit-test-noop", &DeviceProfile::nexus5(), &scale);
+        showcase("unit-test-noop", &DeviceProfile::nexus5(), &scale).unwrap();
+    }
+
+    #[test]
+    fn showcase_names_the_trace_path_it_cannot_create() {
+        let blocker =
+            std::env::temp_dir().join(format!("mvqoe-showcase-blocked-{}", std::process::id()));
+        std::fs::write(&blocker, "a regular file").unwrap();
+        let dir = blocker.join("traces");
+        let scale = Scale::quick()
+            .video_secs(4.0)
+            .perfetto(Some(dir.display().to_string()));
+        let err = showcase("unit-test-blocked", &DeviceProfile::nexus5(), &scale).unwrap_err();
+        assert!(err.contains(&dir.display().to_string()), "{err}");
+        let _ = std::fs::remove_file(&blocker);
     }
 }

@@ -9,10 +9,10 @@
 //! argument is size- and hours-independent.
 
 use mvqoe_experiments::fleet_figs::{
-    extract, run_fleet_sharded, shard_range, store_shard, CHECKPOINT_FORMAT_VERSION,
+    extract, load_shard, run_fleet_sharded, shard_range, store_shard, CHECKPOINT_FORMAT_VERSION,
 };
 use mvqoe_experiments::Scale;
-use mvqoe_study::{assemble_fleet, simulate_range, simulate_user, FleetConfig, FleetResults};
+use mvqoe_study::{assemble_fleet, simulate_range, simulate_user, FleetAggregate, FleetConfig};
 
 fn short_cfg(n_users: u32, median_hours: f64) -> FleetConfig {
     FleetConfig::scaled(n_users, 2064, median_hours, median_hours * 0.1)
@@ -24,7 +24,7 @@ fn json<T: serde::Serialize>(v: &T) -> String {
 
 /// The pre-streaming reference: materialize every observation, then
 /// assemble — the exact shape of the old Vec-based engine.
-fn reference(cfg: &FleetConfig) -> FleetResults {
+fn reference(cfg: &FleetConfig) -> FleetAggregate {
     let users: Vec<_> = (0..cfg.n_users).map(|i| simulate_user(cfg, i)).collect();
     assemble_fleet(cfg, users)
 }
@@ -32,7 +32,7 @@ fn reference(cfg: &FleetConfig) -> FleetResults {
 fn assert_sharded_matches_reference(n_users: u32, median_hours: f64) {
     let cfg = short_cfg(n_users, median_hours);
     let expected = reference(&cfg);
-    let expected_agg = json(&expected.aggregate);
+    let expected_agg = json(&expected);
     let expected_figs = json(&extract(&expected));
 
     for shards in [1u32, 2, 8] {
@@ -46,11 +46,8 @@ fn assert_sharded_matches_reference(n_users: u32, median_hours: f64) {
             expected_agg,
             "{n_users} users over {shards} shards: aggregate must be byte-identical"
         );
-        let figs = extract(&FleetResults {
-            aggregate: run.aggregate,
-        });
         assert_eq!(
-            json(&figs),
+            json(&extract(&run.aggregate)),
             expected_figs,
             "{n_users} users over {shards} shards: figures must be byte-identical"
         );
@@ -141,6 +138,38 @@ fn old_format_checkpoints_are_rejected_by_version() {
         );
         std::fs::create_dir_all(&dir).unwrap();
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn checkpoints_carrying_sketches_still_load() {
+    // v3 checkpoints from builds whose aggregate still kept histogram
+    // sketches carry an `aggregate.sketches` member; loading skips it.
+    let cfg = short_cfg(14, 0.4);
+    let shards = 2u32;
+    let dir = std::env::temp_dir().join(format!("mvqoe-fleet-sketches-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let agg = simulate_range(&cfg, shard_range(cfg.n_users, shards, 0));
+    store_shard(&dir, &cfg, shards, 0, &agg);
+    let path = std::fs::read_dir(&dir)
+        .unwrap()
+        .next()
+        .unwrap()
+        .unwrap()
+        .path();
+    let text = std::fs::read_to_string(&path).unwrap();
+    let sketches = r#""sketches":{"util_median":{"lo":0.0,"hi":100.0,"counts":[0,3,1]},"time_in_state":[{"lo":0.0,"hi":1.0,"counts":[4]}]},"#;
+    let old = text.replacen("\"top\":", &format!("{sketches}\"top\":"), 1);
+    assert_ne!(
+        old, text,
+        "the checkpoint's aggregate must carry a top list"
+    );
+    std::fs::write(&path, old).unwrap();
+
+    let loaded = load_shard(&dir, &cfg, shards, 0).expect("the checkpoint loads");
+    assert_eq!(json(&loaded), json(&agg));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -62,7 +62,7 @@ fn the_serve_experiment_reports_equivalence_end_to_end() {
     // The registry entry itself: serve + ingest + scrape + batch check at
     // quick scale, exactly what `mvqoe serve --quick` runs.
     let scale = Scale::quick().jobs(2).fleet_hours(0.1);
-    let results = serve::run(&scale);
+    let results = serve::run(&scale).expect("the serve experiment runs");
     assert!(
         results.equivalent_to_batch,
         "mvqoe serve must verify the service fold against the batch engine"
@@ -79,7 +79,7 @@ fn the_serve_experiment_reports_equivalence_end_to_end() {
     // same bytes, so no host-timed family reaches the recorded scrape.
     assert_eq!(
         json(&results),
-        json(&serve::run(&scale)),
+        json(&serve::run(&scale).expect("the serve experiment runs")),
         "two runs of the serve experiment must write the same artifact"
     );
 }

@@ -11,10 +11,9 @@
 //!
 //! **Determinism.** Metrics never feed back into the simulation: recording
 //! draws no randomness and takes no locks, and a snapshot of the same run
-//! is identical every time. A [`MetricsRegistry`] built with
-//! [`MetricsRegistry::disabled`] turns every record call into a single
-//! branch on a `bool`, so golden outputs stay byte-identical whether or not
-//! the telemetry plumbing is compiled into a caller.
+//! is identical every time. A run without metrics passes no [`Telemetry`]
+//! at all, so golden outputs stay byte-identical whether or not the
+//! telemetry plumbing is compiled into a caller.
 
 pub mod histogram;
 pub mod prometheus;
@@ -44,13 +43,6 @@ impl Telemetry {
         }
     }
 
-    /// A handle whose record calls are single-branch no-ops.
-    pub fn disabled() -> Telemetry {
-        Telemetry {
-            metrics: MetricsRegistry::disabled(),
-        }
-    }
-
     /// Snapshot the current metric values.
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot()
@@ -72,11 +64,6 @@ impl SharedRegistry {
     /// A recording shared registry.
     pub fn new() -> SharedRegistry {
         SharedRegistry(Arc::new(Mutex::new(MetricsRegistry::new())))
-    }
-
-    /// A no-op shared registry.
-    pub fn disabled() -> SharedRegistry {
-        SharedRegistry(Arc::new(Mutex::new(MetricsRegistry::disabled())))
     }
 
     /// Run `f` with the registry locked.

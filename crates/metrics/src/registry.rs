@@ -21,12 +21,11 @@ pub struct GaugeId(usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramId(usize);
 
-/// Registered metrics for one run. When built with
-/// [`MetricsRegistry::disabled`], registration hands out dummy ids and every
-/// record call is a single branch — cheap enough to leave in hot paths.
+/// Registered metrics for one run. A run without metrics carries no
+/// registry at all (its `Option<&mut Telemetry>` is `None`), so every
+/// registry records.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    enabled: bool,
     counters: Vec<(String, u64)>,
     gauges: Vec<(String, f64)>,
     histograms: Vec<(String, Histogram)>,
@@ -41,30 +40,13 @@ enum Kind {
 }
 
 impl MetricsRegistry {
-    /// A recording registry.
+    /// An empty registry.
     pub fn new() -> MetricsRegistry {
-        MetricsRegistry {
-            enabled: true,
-            ..MetricsRegistry::default()
-        }
-    }
-
-    /// A no-op registry: ids come back as dummies and recording does
-    /// nothing beyond testing one `bool`.
-    pub fn disabled() -> MetricsRegistry {
         MetricsRegistry::default()
-    }
-
-    /// Whether this registry records anything.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Register (or look up) a monotone counter.
     pub fn counter(&mut self, name: &str) -> CounterId {
-        if !self.enabled {
-            return CounterId(0);
-        }
         if let Some(&(Kind::Counter, i)) = self.by_name.get(name) {
             return CounterId(i);
         }
@@ -77,9 +59,6 @@ impl MetricsRegistry {
     /// Register (or look up) a gauge (last value wins within a run; merges
     /// across runs keep the maximum).
     pub fn gauge(&mut self, name: &str) -> GaugeId {
-        if !self.enabled {
-            return GaugeId(0);
-        }
         if let Some(&(Kind::Gauge, i)) = self.by_name.get(name) {
             return GaugeId(i);
         }
@@ -91,9 +70,6 @@ impl MetricsRegistry {
 
     /// Register (or look up) a log₂-bucketed histogram.
     pub fn histogram(&mut self, name: &str) -> HistogramId {
-        if !self.enabled {
-            return HistogramId(0);
-        }
         if let Some(&(Kind::Histogram, i)) = self.by_name.get(name) {
             return HistogramId(i);
         }
@@ -106,45 +82,35 @@ impl MetricsRegistry {
     /// Add `n` to a counter.
     #[inline]
     pub fn inc(&mut self, id: CounterId, n: u64) {
-        if self.enabled {
-            self.counters[id.0].1 += n;
-        }
+        self.counters[id.0].1 += n;
     }
 
     /// Set a gauge.
     #[inline]
     pub fn set(&mut self, id: GaugeId, v: f64) {
-        if self.enabled {
-            self.gauges[id.0].1 = v;
-        }
+        self.gauges[id.0].1 = v;
     }
 
     /// Record one histogram observation.
     #[inline]
     pub fn observe(&mut self, id: HistogramId, v: f64) {
-        if self.enabled {
-            self.histograms[id.0].1.observe(v);
-        }
+        self.histograms[id.0].1.observe(v);
     }
 
     /// Register-and-add in one call, for cold paths that fold in totals at
     /// the end of a run (e.g. absorbing `/proc/vmstat`-style counters).
     pub fn add_counter(&mut self, name: &str, n: u64) {
-        if self.enabled {
-            let id = self.counter(name);
-            self.counters[id.0].1 += n;
-        }
+        let id = self.counter(name);
+        self.counters[id.0].1 += n;
     }
 
     /// Register-and-set in one call (cold paths).
     pub fn set_gauge(&mut self, name: &str, v: f64) {
-        if self.enabled {
-            let id = self.gauge(name);
-            self.gauges[id.0].1 = v;
-        }
+        let id = self.gauge(name);
+        self.gauges[id.0].1 = v;
     }
 
-    /// Current value of a counter by name (None when absent or disabled).
+    /// Current value of a counter by name (None when absent).
     pub fn counter_value(&self, name: &str) -> Option<u64> {
         match self.by_name.get(name) {
             Some(&(Kind::Counter, i)) => Some(self.counters[i].1),
@@ -152,7 +118,7 @@ impl MetricsRegistry {
         }
     }
 
-    /// Current value of a gauge by name (None when absent or disabled).
+    /// Current value of a gauge by name (None when absent).
     pub fn gauge_value(&self, name: &str) -> Option<f64> {
         match self.by_name.get(name) {
             Some(&(Kind::Gauge, i)) => Some(self.gauges[i].1),
@@ -208,19 +174,6 @@ mod tests {
         r.inc(b, 1);
         assert_eq!(r.counter_value("x"), Some(2));
         assert_eq!(r.snapshot().counters.len(), 1);
-    }
-
-    #[test]
-    fn disabled_registry_records_nothing() {
-        let mut r = MetricsRegistry::disabled();
-        let c = r.counter("x");
-        r.inc(c, 10);
-        r.add_counter("y", 5);
-        r.set_gauge("z", 1.0);
-        let s = r.snapshot();
-        assert!(s.counters.is_empty() && s.gauges.is_empty() && s.histograms.is_empty());
-        assert!(!r.enabled());
-        assert_eq!(r.counter_value("x"), None);
     }
 
     #[test]

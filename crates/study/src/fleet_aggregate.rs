@@ -1,24 +1,22 @@
 //! Mergeable, memory-bounded aggregate state for the §3 fleet study.
 //!
-//! [`crate::run_fleet`] used to materialize one [`DeviceObservation`] per
-//! user before computing any statistic — fine at the paper's 80 users,
-//! hopeless at provider scale. A [`FleetAggregate`] instead folds users in
-//! as they are simulated and merges across shards, keeping only:
+//! Holding one [`DeviceObservation`] per user until the end is fine at
+//! the paper's 80 users and hopeless at provider scale. A
+//! [`FleetAggregate`] instead folds users in as they are simulated and
+//! merges across shards, keeping only what a §3 figure reads:
 //!
 //! * per-device **digests** (a dozen scalars each, capped at
 //!   [`DEVICE_DIGEST_CAP`] devices) for the per-device figure series,
 //! * exact **counters** for every headline fraction the figures report,
-//! * bounded **sketches** ([`Hist`]) answering generic fraction queries
-//!   past the digest cap,
 //! * a bounded **top-K heap** of the highest-pressure devices (Fig. 5
 //!   needs their full available-memory histograms),
 //! * a fixed **threshold ladder** of pooled transition counts and dwell
 //!   multisets (Fig. 6's adaptive pooling, reduced to ten fixed bands).
 //!
-//! Every quantity is either an exact integer count, an exact f64 computed
-//! per device before folding, or an explicit sketch — so a merge of shard
-//! aggregates reproduces the single-pass result *byte for byte*, in any
-//! merge order (the invariant `tests/aggregate_merge.rs` pins).
+//! Every quantity is either an exact integer count or an exact f64
+//! computed per device before folding — so a merge of shard aggregates
+//! reproduces the single-pass result *byte for byte*, in any merge order
+//! (the invariant `tests/aggregate_merge.rs` pins).
 
 use crate::fleet_study::FleetConfig;
 use crate::observation::{DeviceObservation, Hist};
@@ -29,11 +27,11 @@ use std::collections::BTreeMap;
 
 /// Most devices whose full digest is retained. Past this, per-device
 /// series truncate (the figures at paper scale never get near it) while
-/// counters, sketches, top-K and the Fig. 6 ladder stay exact or bounded.
+/// counters, top-K and the Fig. 6 ladder stay exact or bounded.
 pub const DEVICE_DIGEST_CAP: usize = 100_000;
 
 /// Devices kept in the top-pressure heap (Fig. 5 reads the top 5; the
-/// extra headroom makes `top_pressure_devices(n)` useful beyond it).
+/// telemetry service's `/query/topk` serves up to all of them).
 pub const TOP_PRESSURE_K: usize = 16;
 
 /// Rungs in the Fig. 6 pooling ladder: thresholds `0.30 / 2^k`,
@@ -356,50 +354,6 @@ impl FractionCounters {
     }
 }
 
-/// Bounded sketches answering generic fraction queries once the fleet
-/// outgrows [`DEVICE_DIGEST_CAP`] (below the cap the digests answer them
-/// exactly).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Sketches {
-    /// Per-device median utilization (%).
-    pub util_median: Hist,
-    /// Per-device total pressure signals per hour.
-    pub total_signal_rate: Hist,
-    /// Per-device time fraction per severity.
-    pub time_in_state: Vec<Hist>,
-    /// Per-device pressure-time fraction.
-    pub pressure_fraction: Hist,
-}
-
-impl Sketches {
-    fn new() -> Sketches {
-        Sketches {
-            util_median: Hist::new(0.0, 100.0, 1000),
-            total_signal_rate: Hist::new(0.0, 720.0, 2880),
-            time_in_state: (0..4).map(|_| Hist::new(0.0, 1.0, 1000)).collect(),
-            pressure_fraction: Hist::new(0.0, 1.0, 1000),
-        }
-    }
-
-    fn add(&mut self, d: &DeviceDigest) {
-        self.util_median.add(d.median_utilization);
-        self.total_signal_rate.add(d.total_signals_per_hour);
-        for (h, &f) in self.time_in_state.iter_mut().zip(&d.time_fractions) {
-            h.add(f);
-        }
-        self.pressure_fraction.add(d.pressure_time_fraction);
-    }
-
-    fn merge(&mut self, other: &Sketches) {
-        self.util_median.merge(&other.util_median);
-        self.total_signal_rate.merge(&other.total_signal_rate);
-        for (h, oh) in self.time_in_state.iter_mut().zip(&other.time_in_state) {
-            h.merge(oh);
-        }
-        self.pressure_fraction.merge(&other.pressure_fraction);
-    }
-}
-
 /// Streaming fleet state: everything §3 needs, in memory bounded by the
 /// digest cap rather than by fleet size.
 ///
@@ -426,8 +380,6 @@ pub struct FleetAggregate {
     pub fig1: [[u32; 5]; 5],
     /// Exact headline-fraction counters.
     pub counters: FractionCounters,
-    /// Bounded sketches for past-the-cap fraction queries.
-    pub sketches: Sketches,
     /// Top-[`TOP_PRESSURE_K`] devices by pressure-time fraction
     /// (descending, ties to the lower index).
     pub top: Vec<TopDevice>,
@@ -451,7 +403,6 @@ impl FleetAggregate {
             digests: Vec::new(),
             fig1: [[0; 5]; 5],
             counters: FractionCounters::default(),
-            sketches: Sketches::new(),
             top: Vec::new(),
             bands: (0..FIG6_LADDER).map(|_| PooledBand::new()).collect(),
             attr_rebuffer_us: Vec::new(),
@@ -525,8 +476,6 @@ impl FleetAggregate {
         c.moderate_ge_2pct += (digest.time_fractions[1] * 100.0 >= 2.0) as u64;
         c.critical_gt_4pct += (digest.time_fractions[3] * 100.0 > 4.0) as u64;
         c.pressure_ge_2pct += (digest.pressure_time_fraction * 100.0 >= 2.0) as u64;
-
-        self.sketches.add(&digest);
 
         // Top-K candidacy: the entry, with its name and Fig. 5 histograms,
         // is only built for a device that makes the cut.
@@ -645,7 +594,7 @@ impl FleetAggregate {
         }
     }
 
-    /// The part of a merge that adds counts, sketches and bands, which
+    /// The part of a merge that adds counts and bands, which
     /// [`FleetAggregate::merge`] and [`FleetAggregate::absorb`] share.
     fn merge_totals(&mut self, other: &FleetAggregate) {
         self.recruited += other.recruited;
@@ -656,7 +605,6 @@ impl FleetAggregate {
             }
         }
         self.counters.add(&other.counters);
-        self.sketches.merge(&other.sketches);
         for (band, oband) in self.bands.iter_mut().zip(&other.bands) {
             band.merge(oband);
         }
@@ -688,20 +636,6 @@ impl FleetAggregate {
             dwells: pooled.dwells,
         }
     }
-
-    /// Devices with pressure-time fraction strictly above `frac` — exact
-    /// from digests while complete, sketch-estimated past the cap.
-    pub fn devices_above_pressure_fraction(&self, frac: f64) -> u64 {
-        if self.digests_complete() {
-            self.digests
-                .iter()
-                .filter(|d| d.pressure_time_fraction > frac)
-                .count() as u64
-        } else {
-            (self.sketches.pressure_fraction.fraction_at_least(frac) * self.kept as f64).round()
-                as u64
-        }
-    }
 }
 
 impl Default for FleetAggregate {
@@ -729,14 +663,13 @@ fn add_elementwise(a: &mut Vec<u64>, b: &[u64]) {
 impl Serialize for FleetAggregate {
     fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) {
         let attributed = self.has_attribution();
-        s.begin_map(if attributed { 11 } else { 9 });
+        s.begin_map(if attributed { 10 } else { 8 });
         s.entry("recruited", &self.recruited);
         s.entry("kept", &self.kept);
         s.entry("hours", &self.hours);
         s.entry("digests", &self.digests);
         s.entry("fig1", &self.fig1);
         s.entry("counters", &self.counters);
-        s.entry("sketches", &self.sketches);
         s.entry("top", &self.top);
         s.entry("bands", &self.bands);
         if attributed {
@@ -756,7 +689,6 @@ impl Deserialize for FleetAggregate {
         let mut digests = None;
         let mut fig1 = None;
         let mut counters = None;
-        let mut sketches = None;
         let mut top = None;
         let mut bands = None;
         let mut attr_rebuffer_us = None;
@@ -770,11 +702,12 @@ impl Deserialize for FleetAggregate {
                 "digests" => set(&mut digests, d, "digests")?,
                 "fig1" => set(&mut fig1, d, "fig1")?,
                 "counters" => set(&mut counters, d, "counters")?,
-                "sketches" => set(&mut sketches, d, "sketches")?,
                 "top" => set(&mut top, d, "top")?,
                 "bands" => set(&mut bands, d, "bands")?,
                 "attr_rebuffer_us" => set(&mut attr_rebuffer_us, d, "attr_rebuffer_us")?,
                 "attr_drops" => set(&mut attr_drops, d, "attr_drops")?,
+                // Skipping unknown members keeps v3 shard checkpoints
+                // that still carry a `sketches` member loadable.
                 _ => d.skip()?,
             }
         }
@@ -785,7 +718,6 @@ impl Deserialize for FleetAggregate {
             digests: take(digests, "digests", "FleetAggregate")?,
             fig1: take(fig1, "fig1", "FleetAggregate")?,
             counters: take(counters, "counters", "FleetAggregate")?,
-            sketches: take(sketches, "sketches", "FleetAggregate")?,
             top: take(top, "top", "FleetAggregate")?,
             bands: take(bands, "bands", "FleetAggregate")?,
             // The attribution fields default to empty when absent, so

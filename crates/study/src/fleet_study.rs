@@ -8,9 +8,8 @@
 //! `mvqoe-experiments` is just `simulate_range` over contiguous index
 //! ranges fanned across workers.
 
-use crate::fleet_aggregate::{DeviceDigest, Fig6Pool, FleetAggregate, TopDevice};
+use crate::fleet_aggregate::FleetAggregate;
 use crate::observation::DeviceObservation;
-use mvqoe_kernel::TrimLevel;
 use mvqoe_sim::{SimRng, SimTime};
 use mvqoe_workload::{FleetBatch, FleetUser};
 use serde::{Deserialize, Serialize};
@@ -76,15 +75,6 @@ impl FleetConfig {
             hours_hi,
         }
     }
-}
-
-/// Aggregated fleet results after cleaning, backed by the streaming
-/// [`FleetAggregate`] (per-device observations are folded in and
-/// discarded, never held as a fleet-sized `Vec`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FleetResults {
-    /// The streamed fleet state every accessor reads from.
-    pub aggregate: FleetAggregate,
 }
 
 /// Simulate one fleet user. Every draw comes from streams split off the
@@ -240,123 +230,14 @@ pub fn simulate_range_chunked(cfg: &FleetConfig, users: Range<u32>, chunk: u32) 
 }
 
 /// Apply the cleaning rule and aggregate per-user observations (in
-/// user-index order) into fleet results. Kept for callers that already
-/// hold materialized observations; the streaming paths fold without ever
-/// building the `Vec`.
-pub fn assemble_fleet(cfg: &FleetConfig, users: Vec<(DeviceObservation, f64)>) -> FleetResults {
+/// user-index order) into one aggregate. Tests hold the streaming paths,
+/// which never build the `Vec`, to this materialized reference.
+pub fn assemble_fleet(cfg: &FleetConfig, users: Vec<(DeviceObservation, f64)>) -> FleetAggregate {
     let mut aggregate = FleetAggregate::new();
     for (i, (obs, hours)) in users.iter().enumerate() {
         aggregate.fold(cfg, i as u32, obs, *hours);
     }
-    FleetResults { aggregate }
-}
-
-/// Run the fleet study serially, streaming users through the aggregate.
-pub fn run_fleet(cfg: &FleetConfig) -> FleetResults {
-    FleetResults {
-        aggregate: simulate_range(cfg, 0..cfg.n_users),
-    }
-}
-
-impl FleetResults {
-    /// Users recruited before cleaning.
-    pub fn recruited(&self) -> u32 {
-        self.aggregate.recruited
-    }
-
-    /// Devices that passed the cleaning rule.
-    pub fn kept(&self) -> u64 {
-        self.aggregate.kept
-    }
-
-    /// Total logged hours across all recruited devices.
-    pub fn total_hours(&self) -> f64 {
-        self.aggregate.total_hours()
-    }
-
-    /// Digests of the kept devices in user-index order (truncated past
-    /// [`crate::fleet_aggregate::DEVICE_DIGEST_CAP`] devices).
-    pub fn devices(&self) -> &[DeviceDigest] {
-        &self.aggregate.digests
-    }
-
-    /// Median utilization per kept device (Fig. 2's sample set).
-    pub fn median_utilizations(&self) -> Vec<f64> {
-        self.aggregate
-            .digests
-            .iter()
-            .map(|d| d.median_utilization)
-            .collect()
-    }
-
-    /// Fraction of devices with median utilization at least `pct` — exact
-    /// while the digest list is complete, sketch-resolution past the cap.
-    pub fn fraction_util_at_least(&self, pct: f64) -> f64 {
-        self.fraction_of_kept(
-            |d| d.median_utilization >= pct,
-            |s| s.util_median.fraction_at_least(pct),
-        )
-    }
-
-    /// Fraction of devices receiving ≥ `rate` pressure signals per hour.
-    pub fn fraction_signal_rate_at_least(&self, rate: f64) -> f64 {
-        self.fraction_of_kept(
-            |d| d.total_signals_per_hour >= rate,
-            |s| s.total_signal_rate.fraction_at_least(rate),
-        )
-    }
-
-    /// Fraction of devices spending at least `frac` of time in `level`.
-    pub fn fraction_time_in_state_at_least(&self, level: TrimLevel, frac: f64) -> f64 {
-        self.fraction_of_kept(
-            |d| d.time_fractions[level.severity()] >= frac,
-            |s| s.time_in_state[level.severity()].fraction_at_least(frac),
-        )
-    }
-
-    fn fraction_of_kept(
-        &self,
-        exact: impl Fn(&DeviceDigest) -> bool,
-        sketch: impl Fn(&crate::fleet_aggregate::Sketches) -> f64,
-    ) -> f64 {
-        if self.aggregate.kept == 0 {
-            return 0.0;
-        }
-        if self.aggregate.digests_complete() {
-            self.aggregate.digests.iter().filter(|d| exact(d)).count() as f64
-                / self.aggregate.kept as f64
-        } else {
-            sketch(&self.aggregate.sketches)
-        }
-    }
-
-    /// The `n` devices spending the most time out of Normal (Fig. 5's
-    /// selection), highest first, ties to the lower user index — the order
-    /// a stable descending sort over the full device list produces.
-    pub fn top_pressure_devices(&self, n: usize) -> &[TopDevice] {
-        &self.aggregate.top[..n.min(self.aggregate.top.len())]
-    }
-
-    /// Number of devices out of Normal more than `frac` of the time
-    /// (Fig. 6 pools above 30%).
-    pub fn devices_above_pressure_fraction(&self, frac: f64) -> u64 {
-        self.aggregate.devices_above_pressure_fraction(frac)
-    }
-
-    /// Fig. 6's pooled state after adaptive threshold relaxation.
-    pub fn fig6_pool(&self) -> Fig6Pool {
-        self.aggregate.fig6_pool()
-    }
-
-    /// Pooled transition probability across the Fig. 6 pool.
-    pub fn pooled_transition_prob(&self, from: TrimLevel, to: TrimLevel) -> f64 {
-        self.fig6_pool().transition_prob(from, to)
-    }
-
-    /// Pooled dwell-time percentile across the Fig. 6 pool.
-    pub fn pooled_dwell_percentile(&self, state: TrimLevel, p: f64) -> f64 {
-        self.fig6_pool().dwell_percentile(state, p)
-    }
+    aggregate
 }
 
 #[cfg(test)]
@@ -377,20 +258,23 @@ mod tests {
 
     /// One shared small fleet run (running it per-test would dominate the
     /// suite's wall time).
-    fn small_fleet() -> &'static FleetResults {
-        static FLEET: OnceLock<FleetResults> = OnceLock::new();
-        FLEET.get_or_init(|| run_fleet(&small_cfg()))
+    fn small_fleet() -> &'static FleetAggregate {
+        static FLEET: OnceLock<FleetAggregate> = OnceLock::new();
+        FLEET.get_or_init(|| {
+            let cfg = small_cfg();
+            simulate_range(&cfg, 0..cfg.n_users)
+        })
     }
 
     #[test]
     fn fleet_runs_and_cleans() {
         let r = small_fleet();
-        assert_eq!(r.recruited(), 8);
-        assert!(r.kept() > 0, "some devices must pass cleaning");
-        assert!(r.kept() <= 8);
+        assert_eq!(r.recruited, 8);
+        assert!(r.kept > 0, "some devices must pass cleaning");
+        assert!(r.kept <= 8);
         assert!(r.total_hours() > 8.0 * 14.0);
-        assert!(r.aggregate.digests_complete());
-        for d in r.devices() {
+        assert!(r.digests_complete());
+        for d in &r.digests {
             assert!(d.interactive_hours > 2.0);
         }
     }
@@ -398,7 +282,7 @@ mod tests {
     #[test]
     fn utilization_medians_are_plausible() {
         let r = small_fleet();
-        let utils = r.median_utilizations();
+        let utils: Vec<f64> = r.digests.iter().map(|d| d.median_utilization).collect();
         assert!(utils.iter().all(|&u| (0.0..=100.0).contains(&u)));
         // Phones under active use run well above half-empty.
         let med = mvqoe_sim::stats::median(&utils);
@@ -408,27 +292,16 @@ mod tests {
     #[test]
     fn some_devices_see_pressure() {
         let r = small_fleet();
-        let with_signals = r.fraction_signal_rate_at_least(1e-9);
         assert!(
-            with_signals > 0.0,
+            r.digests.iter().any(|d| d.total_signals_per_hour > 0.0),
             "at least one device must observe a pressure signal"
-        );
-    }
-
-    #[test]
-    fn fraction_helpers_are_monotone() {
-        let r = small_fleet();
-        assert!(r.fraction_util_at_least(40.0) >= r.fraction_util_at_least(70.0));
-        assert!(
-            r.fraction_signal_rate_at_least(0.1) >= r.fraction_signal_rate_at_least(10.0)
         );
     }
 
     #[test]
     fn top_pressure_selection_is_sorted() {
         let r = small_fleet();
-        let top = r.top_pressure_devices(3);
-        for w in top.windows(2) {
+        for w in r.top.windows(2) {
             assert!(w[0].pressure_time_fraction >= w[1].pressure_time_fraction);
         }
     }
@@ -441,7 +314,7 @@ mod tests {
         merged.merge(&simulate_range(&cfg, 3..7));
         merged.merge(&simulate_range(&cfg, 7..8));
         let merged_json = serde_json::to_string(&merged).unwrap();
-        let serial_json = serde_json::to_string(&serial.aggregate).unwrap();
+        let serial_json = serde_json::to_string(serial).unwrap();
         assert_eq!(merged_json, serial_json, "shard merge must be exact");
     }
 
@@ -451,7 +324,7 @@ mod tests {
         // interleaving must land byte-identical to the ascending fold.
         let cfg = small_cfg();
         let users: Vec<_> = (0..cfg.n_users).map(|i| simulate_user(&cfg, i)).collect();
-        let serial_json = serde_json::to_string(&small_fleet().aggregate).unwrap();
+        let serial_json = serde_json::to_string(small_fleet()).unwrap();
         for order in [[5u32, 0, 7, 2, 6, 1, 4, 3], [7, 6, 5, 4, 3, 2, 1, 0]] {
             let mut agg = FleetAggregate::new();
             for &i in &order {
@@ -537,8 +410,8 @@ mod tests {
         let users: Vec<_> = (0..cfg.n_users).map(|i| simulate_user(&cfg, i)).collect();
         let assembled = assemble_fleet(&cfg, users);
         assert_eq!(
-            serde_json::to_string(&assembled.aggregate).unwrap(),
-            serde_json::to_string(&small_fleet().aggregate).unwrap()
+            serde_json::to_string(&assembled).unwrap(),
+            serde_json::to_string(small_fleet()).unwrap()
         );
     }
 

@@ -24,8 +24,8 @@ pub use fleet_aggregate::{
     TOP_PRESSURE_K,
 };
 pub use fleet_study::{
-    assemble_fleet, observation_seconds, run_fleet, simulate_range, simulate_range_chunked,
-    simulate_user, start_user, FleetConfig, FleetResults, UserStream, BATCH_CHUNK,
+    assemble_fleet, observation_seconds, simulate_range, simulate_range_chunked, simulate_user,
+    start_user, FleetConfig, UserStream, BATCH_CHUNK,
 };
 pub use observation::DeviceObservation;
 pub use survey::{run_survey, SurveyConfig, SurveyResults};

@@ -60,21 +60,6 @@ impl Hist {
         self.counts.iter().sum()
     }
 
-    /// Fold another histogram into this one bucket-wise. Both sides must
-    /// share the same edges and bin count — merging is only meaningful for
-    /// histograms of the same quantity — and the merge is associative and
-    /// commutative (u64 adds), so shard aggregates can combine in any order.
-    pub fn merge(&mut self, other: &Hist) {
-        assert_eq!(
-            (self.lo, self.hi, self.counts.len()),
-            (other.lo, other.hi, other.counts.len()),
-            "merging histograms with different layouts"
-        );
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-    }
-
     /// Approximate quantile (bucket-midpoint interpolation).
     pub fn quantile(&self, q: f64) -> f64 {
         let n = self.n();
@@ -91,19 +76,6 @@ impl Hist {
             }
         }
         self.hi
-    }
-
-    /// Approximate fraction of samples at or above `x` (bucket-resolution:
-    /// counts every sample in the bucket containing `x` and above).
-    pub fn fraction_at_least(&self, x: f64) -> f64 {
-        let n = self.n();
-        if n == 0 {
-            return 0.0;
-        }
-        let bins = self.counts.len() as f64;
-        let idx = (((x - self.lo) / (self.hi - self.lo) * bins).floor() as i64)
-            .clamp(0, self.counts.len() as i64 - 1) as usize;
-        self.counts[idx..].iter().sum::<u64>() as f64 / n as f64
     }
 
     /// Approximate mean.
