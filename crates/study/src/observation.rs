@@ -11,6 +11,8 @@ use mvqoe_workload::fleet::FleetSample;
 use mvqoe_workload::UsagePattern;
 use serde::{Deserialize, Serialize};
 
+const HOUR: f64 = 3600.0;
+
 /// A fixed-width histogram with clamped edges.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Hist {
@@ -49,10 +51,16 @@ impl Hist {
 
     /// Add one sample (clamped into the edge buckets).
     pub fn add(&mut self, x: f64) {
+        self.add_n(x, 1);
+    }
+
+    /// Add `n` samples of value `x`: the same as `n` calls of
+    /// [`Hist::add`], for one bucket division.
+    pub fn add_n(&mut self, x: f64, n: u64) {
         let bins = self.counts.len() as f64;
         let idx = (((x - self.lo) / (self.hi - self.lo) * bins).floor() as i64)
             .clamp(0, self.counts.len() as i64 - 1) as usize;
-        self.counts[idx] += 1;
+        self.counts[idx] += n;
     }
 
     /// Total samples.
@@ -188,7 +196,6 @@ impl DeviceObservation {
 
     /// Fold in one 1 Hz sample.
     pub fn record(&mut self, s: &FleetSample) {
-        const HOUR: f64 = 3600.0;
         self.total_hours += 1.0 / HOUR;
         if s.interactive {
             self.interactive_hours += 1.0 / HOUR;
@@ -212,6 +219,31 @@ impl DeviceObservation {
             self.last_level = s.trim;
         }
         self.samples_seen += 1;
+    }
+
+    /// Fold in `n` consecutive seconds of `s`'s state: bit for bit the same
+    /// as `n` calls of [`DeviceObservation::record`] with `s`. Only the
+    /// first second can be a transition; the rest land in their buckets
+    /// at once. The hour sums still add one second at a time, so their
+    /// `f64` rounding is the per-second path's.
+    pub fn record_run(&mut self, s: &FleetSample, n: u64) {
+        let Some(rest) = n.checked_sub(1) else {
+            return;
+        };
+        self.record(s);
+        for _ in 0..rest {
+            self.total_hours += 1.0 / HOUR;
+            if s.interactive {
+                self.interactive_hours += 1.0 / HOUR;
+            }
+        }
+        if s.interactive {
+            self.util_hist.add_n(s.utilization_pct, rest);
+        }
+        let sev = s.trim.severity();
+        self.state_seconds[sev] += rest;
+        self.avail_by_state[sev].add_n(s.available_mib, rest);
+        self.samples_seen += rest;
     }
 
     /// Median RAM utilization over interactive samples (Fig. 2's variable).
@@ -270,6 +302,7 @@ impl DeviceObservation {
 mod tests {
     use super::*;
     use mvqoe_sim::{SimRng, SimTime};
+    use proptest::prelude::*;
 
     fn sample(at_s: u64, trim: TrimLevel, util: f64, interactive: bool) -> FleetSample {
         FleetSample {
@@ -361,6 +394,38 @@ mod tests {
             serde_json::to_string(&obs).unwrap(),
             serde_json::to_string(&DeviceObservation::new("d", "X", 1024, other)).unwrap()
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A random sample stream cut into runs folds to the same bytes
+        /// through `record_run` as through one `record` per second. Few
+        /// distinct values make runs of equal samples sit side by side,
+        /// and the edge values land in the histograms' clamped buckets.
+        #[test]
+        fn record_run_equals_per_second_records(
+            runs in prop::collection::vec((0usize..4, any::<bool>(), 0usize..3, 0u64..400), 0..60)
+        ) {
+            const UTIL: [f64; 3] = [12.5, 61.2, 150.0];
+            const AVAIL: [f64; 3] = [-5.0, 700.3, 4096.0];
+            let mut per_second = DeviceObservation::new("d", "X", 2048, pattern());
+            let mut in_runs = per_second.clone();
+            let mut t = 0;
+            for (trim, interactive, value, n) in runs {
+                let mut s = sample(t, TrimLevel::ALL[trim], UTIL[value], interactive);
+                s.available_mib = AVAIL[value];
+                for _ in 0..n {
+                    per_second.record(&s);
+                }
+                in_runs.record_run(&s, n);
+                t += n;
+            }
+            prop_assert_eq!(
+                serde_json::to_string(&in_runs).unwrap(),
+                serde_json::to_string(&per_second).unwrap()
+            );
+        }
     }
 
     #[test]

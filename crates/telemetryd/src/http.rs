@@ -2,7 +2,10 @@
 //! offline, so there is no async runtime or HTTP crate to lean on. The
 //! server only ever answers small GET requests and closes the connection
 //! after each response, which keeps this to a request-line parser and a
-//! response writer.
+//! response writer. Closing is part of the contract: clients here read a
+//! response to EOF rather than by its `Content-Length`, so a connection
+//! kept alive would hang them. Each request holds one pool worker from
+//! accept to close, under the server's I/O timeout.
 
 use std::io::{BufRead, Read, Write};
 
@@ -111,8 +114,8 @@ pub fn read_request(reader: &mut impl BufRead) -> std::io::Result<Option<Request
 }
 
 /// Write a complete HTTP/1.1 response and flush. Always `Connection:
-/// close` — the load is scrape- and query-shaped, keep-alive buys nothing
-/// worth the state.
+/// close` — the load is scrape- and query-shaped, and its clients read to
+/// EOF.
 pub fn respond(
     stream: &mut impl Write,
     status: u16,

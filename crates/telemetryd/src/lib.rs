@@ -19,10 +19,11 @@
 //! Fleet samples travel run-length coded ([`report`] has an example
 //! line): a `Run` frame is one sample plus the number of consecutive
 //! seconds that repeat its state, and a `Sample` frame is a run of one.
-//! The server records a run's sample `count` times under one shard lock,
-//! and rejects, as a parse failure, a run of zero or one that would carry
-//! a device past the `(hours × 3600) as u64` samples its `Begin` declared
-//! (a `Begin` may declare at most the fleet config's `hours_hi`).
+//! The server applies a run in one step under one shard lock — the same
+//! bits as recording its sample `count` times — and rejects, as a parse
+//! failure, a run of zero or one that would carry a device past the
+//! `(hours × 3600) as u64` samples its `Begin` declared (a `Begin` may
+//! declare at most the fleet config's `hours_hi`).
 //! Ingest acks and `reports_total` count frames, not device-seconds.
 //! A line that is not UTF-8, not a report, or longer than
 //! [`http::MAX_LINE_BYTES`] is one parse failure, and its stream goes on.
@@ -32,9 +33,10 @@
 //! to the batch engine's — the invariant `tests/service.rs`,
 //! `tests/run_frames.rs` and the `mvqoe serve` experiment pin.
 //!
-//! Everything is `std`-only (`std::net` + worker threads, hand-rolled
-//! HTTP/1.1): the build environment is offline, and the load — a few
-//! long-lived ingest streams plus scrapes — doesn't need more.
+//! Everything is `std`-only (`std::net` + a fixed pool of accepting
+//! worker threads, hand-rolled HTTP/1.1): the build environment is
+//! offline, and the load — a few long-lived ingest streams plus scrapes —
+//! doesn't need more. [`server`] says how connections share the pool.
 
 pub mod http;
 pub mod loadgen;

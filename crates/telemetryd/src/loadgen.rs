@@ -21,9 +21,16 @@ fn io_err(e: impl ToString) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::Other, e.to_string())
 }
 
+/// How many encoded bytes an ingest connection holds before it writes
+/// them. Small enough that the server parses a device's frames while the
+/// device is still being simulated, leaving at most this much to parse
+/// after the final flush; large enough to keep most lines off the
+/// syscall path.
+const UPLINK_BUFFER: usize = 16 * 1024;
+
 /// An ingest connection's write half: each report is encoded into one
-/// reused line buffer, and the lines go out through 64 KiB of buffering,
-/// which keeps them off the syscall path.
+/// reused line buffer, and the lines go out through [`UPLINK_BUFFER`]
+/// bytes of buffering.
 struct Uplink<'a> {
     out: BufWriter<&'a TcpStream>,
     line: String,
@@ -47,7 +54,7 @@ fn with_ingest_stream(
     let stream = TcpStream::connect(addr)?;
     {
         let mut uplink = Uplink {
-            out: BufWriter::with_capacity(64 * 1024, &stream),
+            out: BufWriter::with_capacity(UPLINK_BUFFER, &stream),
             line: String::new(),
         };
         upload(&mut uplink)?;

@@ -13,11 +13,12 @@
 //! ```
 //!
 //! stands for the seconds 120 to 167 of device 3, all in the same state.
-//! The server replays each run through [`mvqoe_study::DeviceObservation`]
-//! `count` times; the observation is a pure function of the sample states
-//! and never reads a timestamp, and JSON round-trips `f64` bit-exactly, so
-//! an uploaded observation folds byte-identically to one computed
-//! on-device.
+//! The server applies each run with
+//! [`mvqoe_study::DeviceObservation::record_run`], bit for bit the same as
+//! recording its sample `count` times; the observation is a pure function
+//! of the sample states and never reads a timestamp, and JSON round-trips
+//! `f64` bit-exactly, so an uploaded observation folds byte-identically to
+//! one computed on-device.
 //!
 //! A device may not send more samples than its `Begin` declared:
 //! `(hours × 3600) as u64` ([`mvqoe_study::observation_seconds`]), and a

@@ -1,14 +1,26 @@
-//! The threaded TCP front end: one acceptor thread, one worker thread per
-//! connection. A connection's first byte picks its protocol — `{` opens a
-//! newline-delimited JSON ingest stream (device reports in, one
-//! [`IngestAck`] line back at EOF), anything else is parsed as an HTTP
-//! request and routed to `/metrics` or the `/query/*` endpoints. The
-//! acceptor joins finished connection threads as new connections arrive,
-//! so the server holds threads only for the connections in flight.
+//! The threaded TCP front end: a fixed pool of accepting workers, one per
+//! available core and at least two. Each worker blocks in `accept` on its
+//! own clone of the listener and serves the connection it gets to the end
+//! before it accepts the next, so the server holds the same threads from
+//! [`TelemetryServer::start`] to [`TelemetryServer::shutdown`] and no
+//! request waits on a thread spawn. A connection's first byte picks its
+//! protocol — `{` opens a newline-delimited JSON ingest stream (device
+//! reports in, applied as each line arrives, one [`IngestAck`] line back
+//! at EOF), anything else is parsed as an HTTP request and routed to
+//! `/metrics` or the `/query/*` endpoints.
+//!
+//! Connections beyond the pool wait in the listen backlog until a worker
+//! is free. Every client in this repository keeps its streams independent
+//! of each other — no stream waits on another connection's reply before
+//! it ends — so backlogged connections are served in turn. Every accepted
+//! stream reads and writes under [`IO_TIMEOUT`]: a peer that stalls holds
+//! its worker that long at most, is dropped, and is counted in
+//! `telemetryd.connections_timed_out_total` (registered on the first
+//! timeout, so a run without one scrapes the same bytes).
 //!
 //! The load is a handful of long-lived ingest streams plus occasional
-//! scrapes, so thread-per-connection with `std::net` is the right size —
-//! no async runtime exists in the offline build environment anyway.
+//! scrapes, so blocking `std::net` workers are the right size — no async
+//! runtime exists in the offline build environment anyway.
 
 use crate::http::{
     read_line, read_request, respond, Line, Request, APPLICATION_JSON, PROMETHEUS_TEXT,
@@ -16,43 +28,61 @@ use crate::http::{
 use crate::report::{DeviceReport, IngestAck};
 use crate::state::ServiceState;
 use mvqoe_study::FleetAggregate;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Flush batched per-connection ingest tallies into the registry every
 /// this many lines (and at EOF), so the per-sample path stays off the
 /// registry lock.
 const INGEST_FLUSH_EVERY: u64 = 1024;
 
+/// The longest a read or a write on an accepted stream may block before
+/// the connection is dropped as stalled.
+pub const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// How long a worker sleeps after `accept` fails (out of descriptors, say)
+/// before it tries again, so a persistent error does not spin a core.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
 /// A running telemetry service.
 pub struct TelemetryServer {
     state: Arc<ServiceState>,
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl TelemetryServer {
-    /// Bind `127.0.0.1:port` (0 picks an ephemeral port) and start
-    /// accepting connections.
+    /// Bind `127.0.0.1:port` (0 picks an ephemeral port) and start the
+    /// worker pool.
     pub fn start(state: ServiceState, port: u16) -> std::io::Result<TelemetryServer> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         let addr = listener.local_addr()?;
+        let n = std::thread::available_parallelism()
+            .map_or(1, usize::from)
+            .max(2);
+        let listeners = (0..n)
+            .map(|_| listener.try_clone())
+            .collect::<std::io::Result<Vec<_>>>()?;
         let state = Arc::new(state);
         let stop = Arc::new(AtomicBool::new(false));
-        let acceptor = {
-            let state = Arc::clone(&state);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || accept_loop(listener, state, stop))
-        };
+        let workers = listeners
+            .into_iter()
+            .map(|listener| {
+                let state = Arc::clone(&state);
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || worker(&listener, &state, &stop))
+            })
+            .collect();
         Ok(TelemetryServer {
             state,
             addr,
             stop,
-            acceptor: Some(acceptor),
+            workers,
         })
     }
 
@@ -61,61 +91,67 @@ impl TelemetryServer {
         self.addr
     }
 
+    /// The number of connection workers: how many connections are served
+    /// at once.
+    pub fn workers(&self) -> usize {
+        self.workers.len()
+    }
+
     /// The shared state, for in-process inspection.
     pub fn state(&self) -> &ServiceState {
         &self.state
     }
 
-    /// Stop accepting, join every in-flight connection, and merge the
-    /// shards into the final fleet aggregate.
-    pub fn shutdown(mut self) -> FleetAggregate {
+    /// Stop accepting, let every worker finish its connection, and merge
+    /// the shards into the final fleet aggregate.
+    pub fn shutdown(self) -> FleetAggregate {
         self.stop.store(true, Ordering::SeqCst);
-        // Wake the blocking accept with a throwaway connection.
-        drop(TcpStream::connect(self.addr));
-        if let Some(h) = self.acceptor.take() {
+        // One throwaway connection per worker wakes each one blocked in
+        // `accept`; a worker busy with a connection sees the flag when it
+        // is done, at most `IO_TIMEOUT` after its peer stalls.
+        for _ in &self.workers {
+            drop(TcpStream::connect(self.addr));
+        }
+        for h in self.workers {
             let _ = h.join();
         }
         self.state.finalize()
     }
 }
 
-fn accept_loop(listener: TcpListener, state: Arc<ServiceState>, stop: Arc<AtomicBool>) {
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    for conn in listener.incoming() {
+fn worker(listener: &TcpListener, state: &ServiceState, stop: &AtomicBool) {
+    loop {
+        let accepted = listener.accept();
         if stop.load(Ordering::SeqCst) {
-            break;
+            return;
         }
-        let Ok(stream) = conn else { continue };
-        // Join the connections that have finished, so a long-lived server
-        // holds a thread (and its stack) only per connection in flight.
-        let mut i = 0;
-        while i < workers.len() {
-            if workers[i].is_finished() {
-                let _ = workers.swap_remove(i).join();
-            } else {
-                i += 1;
-            }
+        match accepted {
+            Ok((stream, _)) => handle_connection(stream, state),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
-        let state = Arc::clone(&state);
-        workers.push(std::thread::spawn(move || handle_connection(stream, state)));
-    }
-    for h in workers {
-        let _ = h.join();
     }
 }
 
-fn handle_connection(stream: TcpStream, state: Arc<ServiceState>) {
+fn handle_connection(stream: TcpStream, state: &ServiceState) {
     state.add_connection();
+    // Peer hangups mid-stream are normal (a killed load generator), and
+    // there is no one to report an error to; a stall is counted.
+    if let Err(e) = serve_connection(stream, state) {
+        if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+            state.add_timeout();
+        }
+    }
+}
+
+fn serve_connection(stream: TcpStream, state: &ServiceState) -> std::io::Result<()> {
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut first = [0u8; 1];
-    let Ok(n) = stream.peek(&mut first) else { return };
-    let result = if n == 1 && first[0] == b'{' {
-        handle_ingest(stream, &state)
+    if stream.peek(&mut first)? == 1 && first[0] == b'{' {
+        handle_ingest(stream, state)
     } else {
-        handle_http(stream, &state)
-    };
-    // Peer hangups mid-stream are normal (a killed load generator); there
-    // is no one to report the error to, so drop it.
-    let _ = result;
+        handle_http(stream, state)
+    }
 }
 
 /// Drain one NDJSON ingest stream, apply every report, and answer with a
@@ -128,11 +164,9 @@ fn handle_ingest(stream: TcpStream, state: &ServiceState) -> std::io::Result<()>
     let read = ingest_frames(&stream, state, &mut ack, &mut pending);
     state.add_ingest(pending.0, pending.1);
     read?;
-    let mut writer = stream;
-    let body = serde_json::to_string(&ack)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::Other, e.to_string()))?;
-    writeln!(writer, "{body}")?;
-    writer.flush()
+    let mut line = json_body(&ack)?;
+    line.push('\n');
+    (&stream).write_all(line.as_bytes())
 }
 
 /// Apply every frame of the stream, counting each non-blank line once in
@@ -177,11 +211,10 @@ fn ingest_frames(
 
 /// Answer one HTTP request and close.
 fn handle_http(stream: TcpStream, state: &ServiceState) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let Some(req) = read_request(&mut reader)? else {
+    let Some(req) = read_request(&mut BufReader::new(&stream))? else {
         return Ok(());
     };
-    let mut writer = BufWriter::new(stream);
+    let mut writer = BufWriter::new(&stream);
     let started = std::time::Instant::now();
     let endpoint = route(&mut writer, &req, state)?;
     let elapsed_us = started.elapsed().as_micros() as f64;

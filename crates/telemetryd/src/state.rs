@@ -8,6 +8,12 @@
 //! sets, so [`ServiceState::finalize`] — merging the shard aggregates in
 //! ring order — is byte-identical to the batch engine's serial fold no
 //! matter how connections interleaved or how many shards the ring has.
+//!
+//! A handler that panics while it holds a shard poisons that shard's
+//! mutex. Every lock here recovers the guard instead of panicking in turn,
+//! as [`SharedRegistry::with`] does. No report is known to panic under a
+//! shard lock; if one did, that report might be half applied, but the
+//! shard's other devices and every later request would still be served.
 
 use crate::report::DeviceReport;
 use mvqoe_core::Cause;
@@ -18,7 +24,8 @@ use mvqoe_study::{
 use mvqoe_workload::FleetSample;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// In-flight device observation: samples recorded, not yet folded.
 struct Pending {
@@ -36,6 +43,11 @@ struct Shard {
 }
 
 impl Shard {
+    /// Lock `shard`, recovering the guard if a panicking holder poisoned it.
+    fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+        shard.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Whether `device` has already been folded into this shard.
     fn folded(&self, device: u32) -> bool {
         self.agg
@@ -65,6 +77,9 @@ pub struct ServiceState {
     /// The fleet protocol the ingested devices were generated under.
     pub cfg: FleetConfig,
     shards: Vec<Mutex<Shard>>,
+    /// Observations open across all shards: the `queue_depth` an `End`
+    /// publishes, kept without locking every shard.
+    open: AtomicU64,
     /// The registry `GET /metrics` exposes; the service's own counters
     /// live here alongside the fleet QoE counters.
     pub registry: SharedRegistry,
@@ -167,13 +182,14 @@ impl ServiceState {
         ServiceState {
             cfg,
             shards: (0..n_shards.max(1)).map(|_| Mutex::new(Shard::default())).collect(),
+            open: AtomicU64::new(0),
             registry,
             ids,
         }
     }
 
-    fn shard(&self, device: u32) -> &Mutex<Shard> {
-        &self.shards[device as usize % self.shards.len()]
+    fn shard(&self, device: u32) -> MutexGuard<'_, Shard> {
+        Shard::lock(&self.shards[device as usize % self.shards.len()])
     }
 
     /// Apply one report. Returns `true` when the report completed a device
@@ -207,7 +223,7 @@ impl ServiceState {
                 if *ram_mib == 0 {
                     return Err(format!("device {device} declares 0 MiB of RAM"));
                 }
-                let mut shard = self.shard(*device).lock().unwrap();
+                let mut shard = self.shard(*device);
                 if shard.folded(*device) {
                     return Err(format!("device {device} already folded"));
                 }
@@ -222,6 +238,7 @@ impl ServiceState {
                         remaining: observation_seconds(*hours),
                     },
                 );
+                self.open.fetch_add(1, Ordering::Relaxed);
                 Ok(false)
             }
             DeviceReport::Sample { device, sample } => self.record_run(*device, sample, 1),
@@ -231,11 +248,12 @@ impl ServiceState {
                 count,
             } => self.record_run(*device, sample, *count),
             DeviceReport::End { device } => {
-                let mut shard = self.shard(*device).lock().unwrap();
+                let mut shard = self.shard(*device);
                 let Pending { obs, hours, .. } = shard
                     .active
                     .remove(device)
                     .ok_or_else(|| format!("end for unknown device {device}"))?;
+                let open = self.open.fetch_sub(1, Ordering::Relaxed) - 1;
                 let start = std::time::Instant::now();
                 shard.agg.fold_unordered(&self.cfg, *device, &obs, hours);
                 let fold_us = start.elapsed().as_micros() as f64;
@@ -243,7 +261,7 @@ impl ServiceState {
                 self.registry.with(|r| {
                     r.inc(self.ids.devices_completed, 1);
                     r.observe(self.ids.fold_us, fold_us);
-                    r.set(self.ids.queue_depth, self.in_flight() as f64);
+                    r.set(self.ids.queue_depth, open as f64);
                 });
                 Ok(true)
             }
@@ -258,12 +276,9 @@ impl ServiceState {
                 Ok(false)
             }
             DeviceReport::Attribution { device, report } => {
-                {
-                    let mut shard = self.shard(*device).lock().unwrap();
-                    shard
-                        .agg
-                        .absorb_attribution(&report.rebuffer_us, &report.drops);
-                }
+                self.shard(*device)
+                    .agg
+                    .absorb_attribution(&report.rebuffer_us, &report.drops);
                 // Per-cause counters are registered lazily, on the first
                 // attribution report — never in `ServiceState::new` — so a
                 // service that ingests no attribution exposes a scrape
@@ -293,15 +308,15 @@ impl ServiceState {
     }
 
     /// Record `count` seconds in `sample`'s state into `device`'s open
-    /// observation, under one shard lock. The bound on `count` is checked
-    /// before anything is recorded, so a rejected frame leaves the
-    /// observation as it was and no frame can ask for more work than its
-    /// device's declared observation.
+    /// observation in one step, under one shard lock. The bound on `count`
+    /// is checked before anything is recorded, so a rejected frame leaves
+    /// the observation as it was and no frame can ask for more work than
+    /// its device's declared observation.
     fn record_run(&self, device: u32, sample: &FleetSample, count: u32) -> Result<bool, String> {
         if count == 0 {
             return Err(format!("empty run for device {device}"));
         }
-        let mut shard = self.shard(device).lock().unwrap();
+        let mut shard = self.shard(device);
         let p = shard
             .active
             .get_mut(&device)
@@ -314,9 +329,7 @@ impl ServiceState {
             ));
         }
         p.remaining -= count;
-        for _ in 0..count {
-            p.obs.record(sample);
-        }
+        p.obs.record_run(sample, count);
         Ok(false)
     }
 
@@ -338,12 +351,12 @@ impl ServiceState {
         self.registry.with(|r| r.inc(self.ids.connections, 1));
     }
 
-    /// Observations open across all shards.
-    pub fn in_flight(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap().active.len() as u64)
-            .sum()
+    /// Count one connection dropped because its peer stalled past the
+    /// I/O timeout. The counter is registered on the first timeout, so a
+    /// service that never drops a connection scrapes the same families.
+    pub fn add_timeout(&self) {
+        self.registry
+            .with(|r| r.add_counter("telemetryd.connections_timed_out_total", 1));
     }
 
     /// The live headline view.
@@ -353,7 +366,7 @@ impl ServiceState {
         let mut total_hours = 0.0f64;
         let mut in_flight = 0u64;
         for shard in &self.shards {
-            let shard = shard.lock().unwrap();
+            let shard = Shard::lock(shard);
             recruited += shard.agg.recruited;
             kept += shard.agg.kept;
             total_hours += shard.agg.total_hours();
@@ -382,7 +395,7 @@ impl ServiceState {
     pub fn topk(&self, k: usize) -> Vec<TopEntry> {
         let mut all: Vec<TopEntry> = Vec::new();
         for shard in &self.shards {
-            let shard = shard.lock().unwrap();
+            let shard = Shard::lock(shard);
             all.extend(shard.agg.top.iter().map(|t| TopEntry {
                 device: t.idx,
                 name: t.name.clone(),
@@ -407,7 +420,7 @@ impl ServiceState {
         let mut rebuffer_us = vec![0u64; Cause::ALL.len()];
         let mut drops = vec![0u64; Cause::ALL.len()];
         for shard in &self.shards {
-            let shard = shard.lock().unwrap();
+            let shard = Shard::lock(shard);
             for (i, &v) in shard.agg.attr_rebuffer_us.iter().enumerate() {
                 rebuffer_us[i] += v;
             }
@@ -446,7 +459,7 @@ impl ServiceState {
 
     /// Live status of one device.
     pub fn device(&self, device: u32) -> DeviceStatus {
-        let shard = self.shard(device).lock().unwrap();
+        let shard = self.shard(device);
         if let Some(p) = shard.active.get(&device) {
             return DeviceStatus {
                 device,
@@ -506,7 +519,7 @@ impl ServiceState {
     pub fn finalize(&self) -> FleetAggregate {
         let mut out = FleetAggregate::new();
         for shard in &self.shards {
-            let shard = shard.lock().unwrap();
+            let shard = Shard::lock(shard);
             assert!(
                 shard.active.is_empty(),
                 "finalize with {} observation(s) still in flight",
@@ -520,5 +533,53 @@ impl ServiceState {
     /// Number of shards in the ring.
     pub fn n_shards(&self) -> usize {
         self.shards.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mvqoe_sim::SimTime;
+    use mvqoe_study::start_user;
+
+    #[test]
+    fn a_poisoned_shard_keeps_serving_its_devices() {
+        let cfg = FleetConfig::scaled(1, 2077, 0.05, 0.005);
+        let state = ServiceState::new(cfg, 2, SharedRegistry::new());
+        // A handler that panics while it holds shard 0, device 0's shard.
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = state.shards[0].lock().unwrap();
+                panic!("a handler fails while holding its shard");
+            })
+            .join()
+        });
+        assert!(panicked.is_err());
+        assert!(state.shards[0].is_poisoned());
+
+        let mut st = start_user(&cfg, 0);
+        let begin = DeviceReport::Begin {
+            device: 0,
+            name: st.user.device.name.clone(),
+            manufacturer: st.user.device.manufacturer.clone(),
+            ram_mib: st.user.device.ram_mib,
+            pattern: st.user.pattern,
+            hours: st.hours,
+        };
+        assert_eq!(state.apply(&begin), Ok(false));
+        assert_eq!(state.device(0).state, "in-flight");
+        for s in 0..st.seconds() {
+            let sample = st.user.step_1s(SimTime::from_secs(s));
+            let run = DeviceReport::Run {
+                device: 0,
+                sample,
+                count: 1,
+            };
+            assert_eq!(state.apply(&run), Ok(false));
+        }
+        assert_eq!(state.apply(&DeviceReport::End { device: 0 }), Ok(true));
+        assert!(matches!(state.device(0).state.as_str(), "kept" | "cleaned"));
+        assert_eq!(state.headline().recruited, 1);
+        assert_eq!(state.finalize().hours, vec![(0, st.hours)]);
     }
 }

@@ -6,6 +6,7 @@ use mvqoe_metrics::{prometheus, SharedRegistry};
 use mvqoe_sim::SimTime;
 use mvqoe_study::{simulate_range, start_user, FleetConfig};
 use mvqoe_telemetryd::http::MAX_LINE_BYTES;
+use mvqoe_telemetryd::server::IO_TIMEOUT;
 use mvqoe_telemetryd::{
     run_fleet_loadgen, run_session_loadgen, DeviceReport, Headline, ServiceState, TelemetryServer,
     TopEntry,
@@ -327,4 +328,49 @@ fn live_session_qoe_reports_land_in_the_registry() {
         .expect("counter registered");
     assert_eq!(qoe_reports, ack.accepted);
     server.shutdown();
+}
+
+#[test]
+fn stalled_connections_are_dropped_after_the_timeout() {
+    let cfg = short_cfg(1);
+    let registry = SharedRegistry::new();
+    let server =
+        TelemetryServer::start(ServiceState::new(cfg, 1, registry.clone()), 0).expect("bind");
+    let addr = server.addr();
+    let workers = server.workers();
+    let (_, scrape) = http_get(addr, "/metrics");
+    assert!(
+        !scrape.contains("timed_out"),
+        "the timeout counter is registered on the first timeout"
+    );
+
+    // One stalled connection per worker takes the whole pool: the first
+    // stalls in the middle of an ingest frame, the rest before their first
+    // byte. The request behind them is answered once the workers drop
+    // them.
+    let mut stalled: Vec<TcpStream> = (0..workers)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    stalled[0].write_all(b"{\"End\":").expect("write");
+    let started = Instant::now();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(IO_TIMEOUT + Duration::from_secs(2)))
+        .expect("read timeout");
+    write!(stream, "GET /query/headline HTTP/1.1\r\nHost: t\r\n\r\n").expect("write");
+    let mut reply = String::new();
+    let read = stream.read_to_string(&mut reply);
+    assert!(
+        read.is_ok() && reply.starts_with("HTTP/1.1 200") && reply.contains("recruited"),
+        "the request behind the stalled connections, after {:?}: {read:?} {reply:?}",
+        started.elapsed()
+    );
+
+    // Shutdown joins every worker, each of which has dropped its peer.
+    server.shutdown();
+    drop(stalled);
+    assert_eq!(
+        registry.with(|r| r.counter_value("telemetryd.connections_timed_out_total")),
+        Some(workers as u64)
+    );
 }
