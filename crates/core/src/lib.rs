@@ -36,9 +36,7 @@ pub use parallel::{
 };
 pub use pressure::PressureMode;
 pub use qoe::{aggregate_runs, run_cell, CellResult};
-pub use session::{
-    run_session, run_session_with, QoeReport, Session, SessionConfig, SessionOutcome,
-};
+pub use session::{run_session, run_session_with, Session, SessionConfig, SessionOutcome};
 pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_FORMAT_VERSION};
 
 /// Peak resident-set size of this process in MiB (`VmHWM` from

@@ -197,30 +197,6 @@ fn queue_link_dips(attr: &mut AttributionEngine, link: &LinkParams) {
     }
 }
 
-/// One 1 Hz QoE report from a live session — the record a device uploads
-/// to the telemetry service: pressure level, buffer occupancy, frame
-/// accounting, rebuffer state, and kill events for the sampling second.
-/// Emitted at the session's existing 1 Hz sample points, *before* the
-/// per-second accumulators reset, so the stream carries exactly what the
-/// local series record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct QoeReport {
-    /// Sample time.
-    pub at: SimTime,
-    /// Memory-pressure (trim) level at the sample point.
-    pub trim: TrimLevel,
-    /// Playback buffer occupancy in seconds.
-    pub buffer_s: f64,
-    /// Frames rendered during the sampling second.
-    pub rendered: u32,
-    /// Cumulative dropped frames since session start.
-    pub dropped_total: u64,
-    /// Whether a visible stall is open at the sample point.
-    pub rebuffering: bool,
-    /// Process kills observed during the sampling second.
-    pub kills: u32,
-}
-
 /// Run one streaming session.
 pub fn run_session(cfg: &SessionConfig, abr: &mut dyn Abr) -> SessionOutcome {
     run_session_with(cfg, abr, None)
@@ -369,14 +345,16 @@ pub(crate) struct SessionState {
     attr: AttributionEngine,
 }
 
-/// A streaming session that can be paused mid-flight, snapshotted,
-/// restored, and forked into counterfactual branches.
+/// A streaming session that can be paused mid-flight, snapshotted, and
+/// restored into counterfactual branches.
 ///
-/// [`run_session`] drives one to completion in a single call; it is a thin
-/// wrapper over this type. The counterfactual engine instead runs a shared
-/// prefix with [`Session::run_until`], captures one [`Snapshot`], then
-/// continues independent branches from it via [`Session::restore`] —
-/// paired branches differ *only* by the policy knob applied at the fork.
+/// Four entry points drive it: [`run_session`] and [`run_session_with`]
+/// run one to completion in a single call (thin wrappers over this type),
+/// and [`Session::run_until`] and [`Session::run_until_with`] drive it up
+/// to a time limit. The counterfactual engine runs a shared prefix with
+/// [`Session::run_until`], captures one [`Snapshot`], then continues
+/// independent branches from it via [`Session::restore`] — paired
+/// branches differ *only* by the policy knob applied at the fork.
 pub struct Session {
     cfg: SessionConfig,
     machine: Machine,
@@ -534,30 +512,6 @@ impl Session {
         limit: SimTime,
         telemetry: Option<&mut Telemetry>,
     ) -> bool {
-        self.run_until_inner(abr, limit, telemetry, None)
-    }
-
-    /// [`Session::run_until_with`] plus a 1 Hz QoE report sink — the
-    /// load-generator hook. `qoe_sink` observes a [`QoeReport`] at every
-    /// sample point; it cannot feed back into the simulation, so driving
-    /// a session with a sink is byte-identical to driving it without.
-    pub fn run_until_with_sink(
-        &mut self,
-        abr: &mut dyn Abr,
-        limit: SimTime,
-        telemetry: Option<&mut Telemetry>,
-        qoe_sink: &mut dyn FnMut(&QoeReport),
-    ) -> bool {
-        self.run_until_inner(abr, limit, telemetry, Some(qoe_sink))
-    }
-
-    fn run_until_inner(
-        &mut self,
-        abr: &mut dyn Abr,
-        limit: SimTime,
-        telemetry: Option<&mut Telemetry>,
-        qoe_sink: Option<&mut dyn FnMut(&QoeReport)>,
-    ) -> bool {
         let tele = telemetry.map(|t| {
             let ins = Instruments::register(t);
             (t, ins)
@@ -569,7 +523,6 @@ impl Session {
             abr,
             st: &mut self.st,
             tele,
-            qoe_sink,
         };
         runner.run_until(&mut self.machine, &mut self.pressure, &mut self.server, limit);
         self.st.ended
@@ -667,22 +620,12 @@ impl Session {
             manifest,
         })
     }
-
-    /// Fork one branch: snapshot this session and restore an independent
-    /// copy continuing under `branch_abr`. The parent is untouched; N calls
-    /// yield N branches sharing this exact prefix.
-    pub fn fork(
-        &self,
-        abr: &dyn Abr,
-        branch_abr: &mut dyn Abr,
-    ) -> Result<Session, serde::de::Error> {
-        Session::restore(&self.snapshot(abr), branch_abr)
-    }
 }
 
 /// The borrow bundle driving one [`Session::run_until_with`] call: config
-/// and derived tables by reference, all mutable state behind `st`.
-struct Runner<'a, 's> {
+/// and derived tables by reference, all mutable state behind `st`, and the
+/// optional metrics handle — every borrow under the one call's lifetime.
+struct Runner<'a> {
     cfg: &'a SessionConfig,
     profile: &'a PlayerProfile,
     manifest: &'a Manifest,
@@ -690,13 +633,9 @@ struct Runner<'a, 's> {
     st: &'a mut SessionState,
     /// Metrics handle + pre-registered ids (None ⇒ single-branch no-ops).
     tele: Option<(&'a mut Telemetry, Instruments)>,
-    /// 1 Hz QoE report observer (None for everything but load generators).
-    /// Its own lifetime: `&mut dyn FnMut` is invariant, so it can't unify
-    /// with the covariantly-shrunk `'a` borrows above.
-    qoe_sink: Option<&'s mut (dyn FnMut(&QoeReport) + 's)>,
 }
 
-impl Runner<'_, '_> {
+impl Runner<'_> {
     fn run_until(
         &mut self,
         m: &mut Machine,
@@ -1254,17 +1193,6 @@ impl Runner<'_, '_> {
     fn sample(&mut self, m: &mut Machine) {
         let now = m.now();
         self.st.next_sample = now + SimDuration::from_secs(1);
-        if let Some(sink) = self.qoe_sink.as_mut() {
-            sink(&QoeReport {
-                at: now,
-                trim: m.mm.trim_level(),
-                buffer_s: self.st.buffer.buffered_seconds(),
-                rendered: self.st.rendered_this_sec,
-                dropped_total: self.st.stats.frames_dropped,
-                rebuffering: self.st.stall_started.is_some(),
-                kills: self.st.kills_this_sec,
-            });
-        }
         if !m.mm.proc(self.st.pid).dead {
             self.st.stats.pss_series.push(now, m.pss_mib(self.st.pid));
         }
@@ -1315,43 +1243,6 @@ mod tests {
         let mut cfg = SessionConfig::paper_default(device, pressure, seed);
         cfg.video_secs = secs;
         cfg
-    }
-
-    #[test]
-    fn qoe_sink_is_transparent_and_reports_each_second() {
-        let cfg = short_cfg(DeviceProfile::nexus5(), PressureMode::None, 12.0, 5);
-        let mut abr = fixed(Genre::Travel, Resolution::R480p, Fps::F30);
-        let plain = run_session(&cfg, &mut abr);
-
-        let mut abr = fixed(Genre::Travel, Resolution::R480p, Fps::F30);
-        let mut reports: Vec<QoeReport> = Vec::new();
-        let mut session = Session::start(cfg.clone());
-        let mut sink = |r: &QoeReport| reports.push(*r);
-        session.run_until_with_sink(&mut abr, SimTime::MAX, None, &mut sink);
-        let sunk = session.finish(None);
-
-        assert_eq!(
-            sunk.stats.frames_total(),
-            plain.stats.frames_total(),
-            "a sink must not perturb the session"
-        );
-        assert_eq!(sunk.stats.ended_at, plain.stats.ended_at);
-        assert!(
-            reports.len() >= 10,
-            "a 12 s session must report ≈ once per second, got {}",
-            reports.len()
-        );
-        // Reports mirror the local 1 Hz series before their resets.
-        for (r, &(at, fps)) in reports.iter().zip(plain.stats.fps_series.samples()) {
-            assert_eq!(r.at, at);
-            assert_eq!(r.rendered as f64, fps);
-        }
-        let last = reports.last().unwrap();
-        assert!(last.at <= plain.stats.ended_at);
-        assert!(
-            last.dropped_total <= plain.stats.frames_dropped,
-            "cumulative drops at the last sample cannot exceed the final total"
-        );
     }
 
     #[test]

@@ -144,12 +144,4 @@ impl Ablation {
         );
         println!("expected shape: under Moderate, memory-aware ≪ every network-only policy on drops/crashes");
     }
-
-    /// Drop mean for one (algorithm, pressure) cell.
-    pub fn drop_of(&self, algorithm: &str, pressure: &str) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|r| r.algorithm == algorithm && r.pressure == pressure)
-            .map(|r| r.drop_mean)
-    }
 }

@@ -46,7 +46,8 @@ impl ServeResults {
     /// nothing left in flight, an ack that folded every recruit and
     /// accepted at least a `Begin` and an `End` per device, a fold that
     /// matched the batch engine, and a scrape that is valid Prometheus
-    /// exposition. Returns a one-line summary.
+    /// exposition with the family and sample counts recorded beside it.
+    /// Returns a one-line summary.
     pub fn validate(&self) -> Result<String, String> {
         let (h, ack) = (&self.headline, &self.ack);
         if h.recruited < 1 {
@@ -75,6 +76,18 @@ impl ServeResults {
         }
         let stats = prometheus::validate(&self.scrape)
             .map_err(|e| format!("scrape is not valid exposition: {e}"))?;
+        if self.scrape_families != stats.families {
+            return Err(format!(
+                "scrape_families {} but the scrape has {} families",
+                self.scrape_families, stats.families
+            ));
+        }
+        if self.scrape_samples != stats.samples {
+            return Err(format!(
+                "scrape_samples {} but the scrape has {} samples",
+                self.scrape_samples, stats.samples
+            ));
+        }
         Ok(format!(
             "{} device(s) folded, {} report(s), {} scrape families / {} samples",
             h.recruited, ack.accepted, stats.families, stats.samples

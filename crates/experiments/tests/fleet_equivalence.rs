@@ -144,7 +144,9 @@ fn old_format_checkpoints_are_rejected_by_version() {
 #[test]
 fn checkpoints_carrying_sketches_still_load() {
     // v3 checkpoints from builds whose aggregate still kept histogram
-    // sketches carry an `aggregate.sketches` member; loading skips it.
+    // sketches carry an `aggregate.sketches` member, and those from builds
+    // that folded session attribution carry per-cause totals; loading
+    // skips them.
     let cfg = short_cfg(14, 0.4);
     let shards = 2u32;
     let dir = std::env::temp_dir().join(format!("mvqoe-fleet-sketches-{}", std::process::id()));
@@ -160,7 +162,7 @@ fn checkpoints_carrying_sketches_still_load() {
         .unwrap()
         .path();
     let text = std::fs::read_to_string(&path).unwrap();
-    let sketches = r#""sketches":{"util_median":{"lo":0.0,"hi":100.0,"counts":[0,3,1]},"time_in_state":[{"lo":0.0,"hi":1.0,"counts":[4]}]},"#;
+    let sketches = r#""sketches":{"util_median":{"lo":0.0,"hi":100.0,"counts":[0,3,1]},"time_in_state":[{"lo":0.0,"hi":1.0,"counts":[4]}]},"attr_rebuffer_us":[5,0,0],"attr_drops":[0,2],"#;
     let old = text.replacen("\"top\":", &format!("{sketches}\"top\":"), 1);
     assert_ne!(
         old, text,

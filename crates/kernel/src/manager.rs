@@ -121,13 +121,6 @@ pub struct TouchOutcome {
     pub zram_swapins: u64,
 }
 
-impl TouchOutcome {
-    /// True if the touch hit only resident pages.
-    pub fn was_free(&self) -> bool {
-        self.cpu_us == 0.0 && self.disk_read_pages == 0
-    }
-}
-
 /// One device's memory subsystem.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MemoryManager {

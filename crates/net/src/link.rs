@@ -150,11 +150,6 @@ impl Link {
     pub fn bytes_delivered(&self) -> u64 {
         self.bytes_delivered
     }
-
-    /// The link parameters (mutable for fault injection).
-    pub fn params_mut(&mut self) -> &mut LinkParams {
-        &mut self.params
-    }
 }
 
 #[cfg(test)]

@@ -89,11 +89,6 @@ impl SegmentServer {
     pub fn history(&self) -> &[ServedRequest] {
         &self.history
     }
-
-    /// The underlying link (mutable for fault injection).
-    pub fn link_mut(&mut self) -> &mut Link {
-        &mut self.link
-    }
 }
 
 #[cfg(test)]

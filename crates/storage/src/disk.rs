@@ -186,11 +186,6 @@ impl Disk {
         !self.pending.is_empty()
     }
 
-    /// Number of requests waiting for dispatch.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Number of requests being transferred.
     pub fn inflight_len(&self) -> usize {
         self.inflight.len()
@@ -249,11 +244,6 @@ impl Disk {
     /// Cumulative statistics.
     pub fn stats(&self) -> &DiskStats {
         &self.stats
-    }
-
-    /// The parameters in force (mutable for fault injection).
-    pub fn params_mut(&mut self) -> &mut DiskParams {
-        &mut self.params
     }
 }
 

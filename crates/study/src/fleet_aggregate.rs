@@ -22,7 +22,7 @@ use crate::fleet_study::FleetConfig;
 use crate::observation::{DeviceObservation, Hist};
 use mvqoe_kernel::TrimLevel;
 use mvqoe_workload::UsagePattern;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Most devices whose full digest is retained. Past this, per-device
@@ -357,11 +357,10 @@ impl FractionCounters {
 /// Streaming fleet state: everything §3 needs, in memory bounded by the
 /// digest cap rather than by fleet size.
 ///
-/// `Serialize`/`Deserialize` are hand-written (not derived) so the
-/// attribution totals only appear in the serialized form once something
-/// has actually been attributed — keeping every artifact produced without
-/// attribution byte-identical to what it was before the fields existed.
-#[derive(Debug, Clone)]
+/// Loading skips members it does not know, so shard checkpoints written
+/// by builds whose aggregate carried more fields (`sketches`, per-cause
+/// attribution totals) still load.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FleetAggregate {
     /// Users folded in so far (recruited, before cleaning).
     pub recruited: u32,
@@ -385,12 +384,6 @@ pub struct FleetAggregate {
     pub top: Vec<TopDevice>,
     /// The Fig. 6 pooling ladder, one band per threshold rung.
     pub bands: Vec<PooledBand>,
-    /// Per-cause rebuffer microseconds from sessions that ran with causal
-    /// attribution, summed across folded reports (indexed by the core
-    /// crate's `Cause::index`). Empty until the first report arrives.
-    pub attr_rebuffer_us: Vec<u64>,
-    /// Per-cause dropped-frame counts, same indexing and lifecycle.
-    pub attr_drops: Vec<u64>,
 }
 
 impl FleetAggregate {
@@ -405,22 +398,7 @@ impl FleetAggregate {
             counters: FractionCounters::default(),
             top: Vec::new(),
             bands: (0..FIG6_LADDER).map(|_| PooledBand::new()).collect(),
-            attr_rebuffer_us: Vec::new(),
-            attr_drops: Vec::new(),
         }
-    }
-
-    /// Fold one session's per-cause attribution totals in (exact integer
-    /// sums, so folding is associative and order-insensitive).
-    pub fn absorb_attribution(&mut self, rebuffer_us: &[u64], drops: &[u64]) {
-        add_elementwise(&mut self.attr_rebuffer_us, rebuffer_us);
-        add_elementwise(&mut self.attr_drops, drops);
-    }
-
-    /// Whether any attribution totals have been folded in.
-    pub fn has_attribution(&self) -> bool {
-        self.attr_rebuffer_us.iter().any(|&v| v != 0)
-            || self.attr_drops.iter().any(|&v| v != 0)
     }
 
     /// Whether every kept device still has its digest (the exact regime).
@@ -608,8 +586,6 @@ impl FleetAggregate {
         for (band, oband) in self.bands.iter_mut().zip(&other.bands) {
             band.merge(oband);
         }
-        add_elementwise(&mut self.attr_rebuffer_us, &other.attr_rebuffer_us);
-        add_elementwise(&mut self.attr_drops, &other.attr_drops);
     }
 
     /// Resolve Fig. 6's adaptive pooling over the ladder: start at the 30%
@@ -641,90 +617,6 @@ impl FleetAggregate {
 impl Default for FleetAggregate {
     fn default() -> Self {
         FleetAggregate::new()
-    }
-}
-
-/// `a[i] += b[i]`, growing `a` with zeros to `b`'s length first.
-fn add_elementwise(a: &mut Vec<u64>, b: &[u64]) {
-    if a.len() < b.len() {
-        a.resize(b.len(), 0);
-    }
-    for (x, y) in a.iter_mut().zip(b) {
-        *x += y;
-    }
-}
-
-// Hand-written so the attribution fields stay *absent* from the
-// serialized map until something has been attributed: committed
-// artifacts embedding an aggregate (the telemetry service results, fleet
-// checkpoints) are byte-identical to their pre-attribution form whenever
-// attribution is off. Field order mirrors declaration order, exactly as
-// the derive would emit.
-impl Serialize for FleetAggregate {
-    fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) {
-        let attributed = self.has_attribution();
-        s.begin_map(if attributed { 10 } else { 8 });
-        s.entry("recruited", &self.recruited);
-        s.entry("kept", &self.kept);
-        s.entry("hours", &self.hours);
-        s.entry("digests", &self.digests);
-        s.entry("fig1", &self.fig1);
-        s.entry("counters", &self.counters);
-        s.entry("top", &self.top);
-        s.entry("bands", &self.bands);
-        if attributed {
-            s.entry("attr_rebuffer_us", &self.attr_rebuffer_us);
-            s.entry("attr_drops", &self.attr_drops);
-        }
-        s.end_map();
-    }
-}
-
-impl Deserialize for FleetAggregate {
-    fn deserialize<D: Deserializer + ?Sized>(d: &mut D) -> Result<Self, serde::de::Error> {
-        use serde::de::{set, take};
-        let mut recruited = None;
-        let mut kept = None;
-        let mut hours = None;
-        let mut digests = None;
-        let mut fig1 = None;
-        let mut counters = None;
-        let mut top = None;
-        let mut bands = None;
-        let mut attr_rebuffer_us = None;
-        let mut attr_drops = None;
-        d.begin_map()?;
-        while let Some(k) = d.next_key()? {
-            match k {
-                "recruited" => set(&mut recruited, d, "recruited")?,
-                "kept" => set(&mut kept, d, "kept")?,
-                "hours" => set(&mut hours, d, "hours")?,
-                "digests" => set(&mut digests, d, "digests")?,
-                "fig1" => set(&mut fig1, d, "fig1")?,
-                "counters" => set(&mut counters, d, "counters")?,
-                "top" => set(&mut top, d, "top")?,
-                "bands" => set(&mut bands, d, "bands")?,
-                "attr_rebuffer_us" => set(&mut attr_rebuffer_us, d, "attr_rebuffer_us")?,
-                "attr_drops" => set(&mut attr_drops, d, "attr_drops")?,
-                // Skipping unknown members keeps v3 shard checkpoints
-                // that still carry a `sketches` member loadable.
-                _ => d.skip()?,
-            }
-        }
-        Ok(FleetAggregate {
-            recruited: take(recruited, "recruited", "FleetAggregate")?,
-            kept: take(kept, "kept", "FleetAggregate")?,
-            hours: take(hours, "hours", "FleetAggregate")?,
-            digests: take(digests, "digests", "FleetAggregate")?,
-            fig1: take(fig1, "fig1", "FleetAggregate")?,
-            counters: take(counters, "counters", "FleetAggregate")?,
-            top: take(top, "top", "FleetAggregate")?,
-            bands: take(bands, "bands", "FleetAggregate")?,
-            // The attribution fields default to empty when absent, so
-            // pre-attribution serialized aggregates keep loading.
-            attr_rebuffer_us: attr_rebuffer_us.unwrap_or_default(),
-            attr_drops: attr_drops.unwrap_or_default(),
-        })
     }
 }
 
@@ -816,35 +708,6 @@ mod tests {
         let mut bulk = DwellCounts::default();
         bulk.absorb(&[a, b].concat());
         assert_eq!(split.pairs, bulk.pairs);
-    }
-
-    #[test]
-    fn attribution_fields_stay_absent_until_attributed() {
-        let agg = FleetAggregate::new();
-        let v = serde::to_value(&agg);
-        assert!(
-            v.get("attr_rebuffer_us").is_none() && v.get("attr_drops").is_none(),
-            "zero-attribution aggregates must serialize without attr keys"
-        );
-        // Absent fields load as empty — pre-attribution artifacts keep
-        // deserializing.
-        let back = serde::from_value::<FleetAggregate>(&v).unwrap();
-        assert!(!back.has_attribution());
-
-        let mut agg = FleetAggregate::new();
-        agg.absorb_attribution(&[5, 0, 0], &[0, 2]);
-        let v = serde::to_value(&agg);
-        let back = serde::from_value::<FleetAggregate>(&v).unwrap();
-        assert_eq!(back.attr_rebuffer_us, vec![5, 0, 0]);
-        assert_eq!(back.attr_drops, vec![0, 2]);
-        assert!(back.has_attribution());
-
-        // Merge grows and adds elementwise.
-        let mut other = FleetAggregate::new();
-        other.absorb_attribution(&[1, 1, 1, 1], &[1]);
-        agg.merge(&other);
-        assert_eq!(agg.attr_rebuffer_us, vec![6, 1, 1, 1]);
-        assert_eq!(agg.attr_drops, vec![1, 2]);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 use std::io::{BufRead, Read, Write};
 
 /// The longest line the server reads: an ingest frame, a request line or a
-/// header. The longest frame a generator here emits, a session's full
-/// attribution report, is far shorter.
+/// header. Every frame the fleet load generator emits is a few hundred
+/// bytes at most.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// What [`read_line`] found.

@@ -3,18 +3,16 @@
 //! The batch engine (`mvqoe-study`) simulates the fleet and folds it into
 //! a [`mvqoe_study::FleetAggregate`] in one process. This crate moves the
 //! fold behind a wire: a threaded TCP service ingests newline-delimited
-//! JSON device reports ([`DeviceReport`] — 1 Hz memory samples from fleet
-//! devices, 1 Hz QoE reports from live video sessions), folds them online
+//! JSON device reports ([`DeviceReport`] — the 1 Hz memory samples of
+//! fleet devices, each between a `Begin` and an `End`), folds them online
 //! into a sharded aggregate ring, and serves
 //!
 //! * `GET /metrics` — Prometheus text exposition of the full
-//!   [`mvqoe_metrics`] registry (fleet counters plus the service's own
+//!   [`mvqoe_metrics`] registry (fleet headline gauges plus the service's own
 //!   ingest/query instrumentation),
 //! * `GET /query/headline` — live recruited/kept/hours/in-flight counts,
 //! * `GET /query/topk?k=N` — the highest-pressure devices so far,
-//! * `GET /query/device/<id>` — one device's live status or folded digest,
-//! * `GET /query/attribution` — the fleet-wide blame ledger: rebuffer
-//!   time and dropped frames per kernel/network cause.
+//! * `GET /query/device/<id>` — one device's live status or folded digest.
 //!
 //! Fleet samples travel run-length coded ([`report`] has an example
 //! line): a `Run` frame is one sample plus the number of consecutive
@@ -44,7 +42,7 @@ pub mod report;
 pub mod server;
 pub mod state;
 
-pub use loadgen::{run_fleet_loadgen, run_session_loadgen};
+pub use loadgen::run_fleet_loadgen;
 pub use report::{DeviceReport, IngestAck};
 pub use server::TelemetryServer;
-pub use state::{AttributionEntry, AttributionView, DeviceStatus, Headline, ServiceState, TopEntry};
+pub use state::{DeviceStatus, Headline, ServiceState, TopEntry};

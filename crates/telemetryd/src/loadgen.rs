@@ -1,17 +1,14 @@
-//! Load-generator modes of the simulation engines: drive the fleet and
-//! session simulators and upload their 1 Hz output as newline-delimited
-//! JSON device reports, exactly as a phone-side agent would. The fleet
-//! generator replays the same coordinate-derived seeds as the batch
-//! engine (`start_user` + `step_1s`) and sends each maximal run of
-//! same-state seconds as one `Run` frame, so a service that ingests its
-//! stream must fold to a byte-identical [`mvqoe_study::FleetAggregate`].
+//! The fleet simulator's load-generator mode: drive fleet users and upload
+//! their 1 Hz output as newline-delimited JSON device reports, exactly as
+//! a phone-side agent would. The generator replays the same
+//! coordinate-derived seeds as the batch engine (`start_user` +
+//! `step_1s`) and sends each maximal run of same-state seconds as one
+//! `Run` frame, so a service that ingests its stream must fold to a
+//! byte-identical [`mvqoe_study::FleetAggregate`].
 
 use crate::report::{DeviceReport, IngestAck};
-use mvqoe_abr::BufferBased;
-use mvqoe_core::{Session, SessionConfig};
 use mvqoe_sim::SimTime;
 use mvqoe_study::{start_user, FleetConfig};
-use mvqoe_video::Fps;
 use mvqoe_workload::FleetSample;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -45,27 +42,6 @@ impl Uplink<'_> {
     }
 }
 
-/// Open an ingest connection, run `upload` against its write half, then
-/// half-close and wait for the server's [`IngestAck`] line.
-fn with_ingest_stream(
-    addr: SocketAddr,
-    upload: impl FnOnce(&mut Uplink<'_>) -> std::io::Result<()>,
-) -> std::io::Result<IngestAck> {
-    let stream = TcpStream::connect(addr)?;
-    {
-        let mut uplink = Uplink {
-            out: BufWriter::with_capacity(UPLINK_BUFFER, &stream),
-            line: String::new(),
-        };
-        upload(&mut uplink)?;
-        uplink.out.flush()?;
-    }
-    stream.shutdown(Shutdown::Write)?;
-    let mut ack_line = String::new();
-    BufReader::new(&stream).read_line(&mut ack_line)?;
-    serde_json::from_str(ack_line.trim_end()).map_err(io_err)
-}
-
 /// Coalesce consecutive 1 Hz samples into maximal runs of the same state:
 /// each run's first sample and the number of seconds it covers.
 fn sample_runs(
@@ -84,69 +60,43 @@ fn sample_runs(
 
 /// Simulate fleet users `users` under `cfg` and upload each as a
 /// `Begin` / `Run` frames covering its 1 Hz samples / `End` sequence over
-/// one connection. Returns the server's ack once everything uploaded is
-/// folded.
+/// one connection, then half-close it and wait for the server's
+/// [`IngestAck`] line, which comes once everything uploaded is folded.
 pub fn run_fleet_loadgen(
     addr: SocketAddr,
     cfg: &FleetConfig,
     users: Range<u32>,
 ) -> std::io::Result<IngestAck> {
-    with_ingest_stream(addr, |uplink| {
-        for i in users {
-            let mut st = start_user(cfg, i);
-            uplink.send(&DeviceReport::Begin {
+    let stream = TcpStream::connect(addr)?;
+    let mut uplink = Uplink {
+        out: BufWriter::with_capacity(UPLINK_BUFFER, &stream),
+        line: String::new(),
+    };
+    for i in users {
+        let mut st = start_user(cfg, i);
+        uplink.send(&DeviceReport::Begin {
+            device: i,
+            name: st.user.device.name.clone(),
+            manufacturer: st.user.device.manufacturer.clone(),
+            ram_mib: st.user.device.ram_mib,
+            pattern: st.user.pattern,
+            hours: st.hours,
+        })?;
+        let steps = (0..st.seconds()).map(|s| st.user.step_1s(SimTime::from_secs(s)));
+        for (sample, count) in sample_runs(steps) {
+            uplink.send(&DeviceReport::Run {
                 device: i,
-                name: st.user.device.name.clone(),
-                manufacturer: st.user.device.manufacturer.clone(),
-                ram_mib: st.user.device.ram_mib,
-                pattern: st.user.pattern,
-                hours: st.hours,
+                sample,
+                count,
             })?;
-            let steps = (0..st.seconds()).map(|s| st.user.step_1s(SimTime::from_secs(s)));
-            for (sample, count) in sample_runs(steps) {
-                uplink.send(&DeviceReport::Run {
-                    device: i,
-                    sample,
-                    count,
-                })?;
-            }
-            uplink.send(&DeviceReport::End { device: i })?;
         }
-        Ok(())
-    })
-}
-
-/// Run one live video session (buffer-based ABR over the paper-default
-/// config) and upload its 1 Hz QoE reports as they are emitted.
-pub fn run_session_loadgen(
-    addr: SocketAddr,
-    mut cfg: SessionConfig,
-    device_id: u32,
-) -> std::io::Result<IngestAck> {
-    cfg.record_trace = false;
-    with_ingest_stream(addr, |uplink| {
-        let mut session = Session::start(cfg);
-        let mut abr = BufferBased::new(Fps::F30);
-        let mut upload_err = None;
-        let mut sink = |report: &mvqoe_core::QoeReport| {
-            if upload_err.is_some() {
-                return;
-            }
-            let line = DeviceReport::Qoe {
-                device: device_id,
-                report: *report,
-            };
-            if let Err(e) = uplink.send(&line) {
-                upload_err = Some(e);
-            }
-        };
-        session.run_until_with_sink(&mut abr, SimTime::MAX, None, &mut sink);
-        session.finish(None);
-        match upload_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    })
+        uplink.send(&DeviceReport::End { device: i })?;
+    }
+    uplink.out.flush()?;
+    stream.shutdown(Shutdown::Write)?;
+    let mut ack_line = String::new();
+    BufReader::new(&stream).read_line(&mut ack_line)?;
+    serde_json::from_str(ack_line.trim_end()).map_err(io_err)
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //!
 //! A device's upload is a stream of [`DeviceReport`] lines — a `Begin`
 //! announcing the device, its 1 Hz samples, and an `End` closing the
-//! observation window — plus `Qoe` lines from live video sessions. The
+//! observation window — the §3 fleet protocol and nothing else. The
 //! samples travel run-length coded: a `Run` frame carries one sample and
 //! how many consecutive seconds repeat its state, and a `Sample` frame is
 //! a run of one. Most fleet seconds repeat the one before, so the load
@@ -29,7 +29,6 @@
 //! than one device's observation. [`IngestAck::accepted`] counts frames,
 //! not device-seconds.
 
-use mvqoe_core::{AttributionReport, QoeReport};
 use mvqoe_workload::{FleetSample, UsagePattern};
 use serde::{Deserialize, Serialize};
 
@@ -76,23 +75,6 @@ pub enum DeviceReport {
         /// Fleet user index.
         device: u32,
     },
-    /// One 1 Hz QoE report from a live video session.
-    Qoe {
-        /// Device id of the session's phone (its own id space; session
-        /// devices never collide with fleet user indices).
-        device: u32,
-        /// The report.
-        report: QoeReport,
-    },
-    /// A finished session's causal attribution report: every rebuffer
-    /// microsecond and dropped frame blamed on its kernel or network
-    /// cause.
-    Attribution {
-        /// Device id of the session's phone (same id space as `Qoe`).
-        device: u32,
-        /// The report.
-        report: AttributionReport,
-    },
 }
 
 impl DeviceReport {
@@ -102,9 +84,7 @@ impl DeviceReport {
             DeviceReport::Begin { device, .. }
             | DeviceReport::Sample { device, .. }
             | DeviceReport::Run { device, .. }
-            | DeviceReport::End { device }
-            | DeviceReport::Qoe { device, .. }
-            | DeviceReport::Attribution { device, .. } => device,
+            | DeviceReport::End { device } => device,
         }
     }
 }

@@ -250,11 +250,6 @@ fn route(writer: &mut impl Write, req: &Request, state: &ServiceState) -> std::i
             respond(writer, 200, "OK", APPLICATION_JSON, &body)?;
             Ok("headline")
         }
-        "/query/attribution" => {
-            let body = json_body(&state.attribution())?;
-            respond(writer, 200, "OK", APPLICATION_JSON, &body)?;
-            Ok("attribution")
-        }
         "/query/topk" => {
             let k = req
                 .query("k")

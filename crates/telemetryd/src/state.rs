@@ -16,7 +16,6 @@
 //! shard's other devices and every later request would still be served.
 
 use crate::report::DeviceReport;
-use mvqoe_core::Cause;
 use mvqoe_metrics::{prometheus, CounterId, GaugeId, HistogramId, SharedRegistry};
 use mvqoe_study::{
     observation_seconds, DeviceDigest, DeviceObservation, FleetAggregate, FleetConfig,
@@ -65,11 +64,6 @@ struct ServiceIds {
     devices_completed: CounterId,
     fold_us: HistogramId,
     queue_depth: GaugeId,
-    qoe_reports: CounterId,
-    qoe_frames_rendered: CounterId,
-    qoe_kills: CounterId,
-    qoe_rebuffer_seconds: CounterId,
-    qoe_buffer_s: HistogramId,
 }
 
 /// Shared state behind every connection handler.
@@ -80,8 +74,8 @@ pub struct ServiceState {
     /// Observations open across all shards: the `queue_depth` an `End`
     /// publishes, kept without locking every shard.
     open: AtomicU64,
-    /// The registry `GET /metrics` exposes; the service's own counters
-    /// live here alongside the fleet QoE counters.
+    /// The registry `GET /metrics` exposes: the service's own counters
+    /// and the fleet headline gauges.
     pub registry: SharedRegistry,
     ids: ServiceIds,
 }
@@ -104,8 +98,6 @@ pub struct Headline {
     pub reports_total: u64,
     /// Lines rejected since startup.
     pub parse_failures_total: u64,
-    /// Session QoE reports folded since startup.
-    pub qoe_reports_total: u64,
 }
 
 /// One `/query/topk` entry (the digest scalars, without Fig. 5's
@@ -135,34 +127,6 @@ pub struct DeviceStatus {
     pub digest: Option<DeviceDigest>,
 }
 
-/// One cause's row in the `/query/attribution` view.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AttributionEntry {
-    /// The cause's snake_case label (e.g. `"lmkd_kill"`).
-    pub cause: String,
-    /// Rebuffer microseconds blamed on this cause across the fleet.
-    pub rebuffer_us: u64,
-    /// Dropped frames blamed on this cause across the fleet.
-    pub drops: u64,
-}
-
-/// The `/query/attribution` view: the fleet-wide blame ledger, exact
-/// integer totals summed across shards, plus the headline memory-vs-
-/// network split of rebuffer time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AttributionView {
-    /// One entry per cause, in [`Cause::ALL`] order.
-    pub causes: Vec<AttributionEntry>,
-    /// Total attributed rebuffer microseconds (sum of per-cause rows).
-    pub total_rebuffer_us: u64,
-    /// Total attributed dropped frames.
-    pub total_drops: u64,
-    /// Share of rebuffer time blamed on memory-pressure causes.
-    pub memory_rebuffer_share: f64,
-    /// Share of rebuffer time blamed on network causes.
-    pub network_rebuffer_share: f64,
-}
-
 impl ServiceState {
     /// Build service state with `n_shards` aggregate shards.
     pub fn new(cfg: FleetConfig, n_shards: u32, registry: SharedRegistry) -> ServiceState {
@@ -173,11 +137,6 @@ impl ServiceState {
             devices_completed: r.counter("telemetryd.devices_completed_total"),
             fold_us: r.histogram("telemetryd.fold_latency_us"),
             queue_depth: r.gauge("telemetryd.queue_depth"),
-            qoe_reports: r.counter("fleet.qoe.reports_total"),
-            qoe_frames_rendered: r.counter("fleet.qoe.frames_rendered_total"),
-            qoe_kills: r.counter("fleet.qoe.kills_total"),
-            qoe_rebuffer_seconds: r.counter("fleet.qoe.rebuffer_seconds_total"),
-            qoe_buffer_s: r.histogram("fleet.qoe.buffer_s"),
         });
         ServiceState {
             cfg,
@@ -265,45 +224,6 @@ impl ServiceState {
                 });
                 Ok(true)
             }
-            DeviceReport::Qoe { report, .. } => {
-                self.registry.with(|r| {
-                    r.inc(self.ids.qoe_reports, 1);
-                    r.inc(self.ids.qoe_frames_rendered, report.rendered as u64);
-                    r.inc(self.ids.qoe_kills, report.kills as u64);
-                    r.inc(self.ids.qoe_rebuffer_seconds, report.rebuffering as u64);
-                    r.observe(self.ids.qoe_buffer_s, report.buffer_s);
-                });
-                Ok(false)
-            }
-            DeviceReport::Attribution { device, report } => {
-                self.shard(*device)
-                    .agg
-                    .absorb_attribution(&report.rebuffer_us, &report.drops);
-                // Per-cause counters are registered lazily, on the first
-                // attribution report — never in `ServiceState::new` — so a
-                // service that ingests no attribution exposes a scrape
-                // byte-identical to one built before attribution existed.
-                self.registry.with(|r| {
-                    for cause in Cause::ALL {
-                        let i = cause.index();
-                        let rb = report.rebuffer_us.get(i).copied().unwrap_or(0);
-                        if rb > 0 {
-                            r.add_counter(
-                                &format!("fleet.attr.rebuffer_us_total.{}", cause.label()),
-                                rb,
-                            );
-                        }
-                        let dr = report.drops.get(i).copied().unwrap_or(0);
-                        if dr > 0 {
-                            r.add_counter(
-                                &format!("fleet.attr.drops_total.{}", cause.label()),
-                                dr,
-                            );
-                        }
-                    }
-                });
-                Ok(false)
-            }
         }
     }
 
@@ -372,11 +292,10 @@ impl ServiceState {
             total_hours += shard.agg.total_hours();
             in_flight += shard.active.len() as u64;
         }
-        let (reports_total, parse_failures_total, qoe_reports_total) = self.registry.with(|r| {
+        let (reports_total, parse_failures_total) = self.registry.with(|r| {
             (
                 r.counter_value("telemetryd.reports_total").unwrap_or(0),
                 r.counter_value("telemetryd.parse_failures_total").unwrap_or(0),
-                r.counter_value("fleet.qoe.reports_total").unwrap_or(0),
             )
         });
         Headline {
@@ -386,7 +305,6 @@ impl ServiceState {
             devices_in_flight: in_flight,
             reports_total,
             parse_failures_total,
-            qoe_reports_total,
         }
     }
 
@@ -411,50 +329,6 @@ impl ServiceState {
         });
         all.truncate(k);
         all
-    }
-
-    /// The live blame ledger: per-cause rebuffer/drop totals summed across
-    /// shards (exact integer adds, so order-insensitive), with the
-    /// memory-vs-network rebuffer split computed over attributed time.
-    pub fn attribution(&self) -> AttributionView {
-        let mut rebuffer_us = vec![0u64; Cause::ALL.len()];
-        let mut drops = vec![0u64; Cause::ALL.len()];
-        for shard in &self.shards {
-            let shard = Shard::lock(shard);
-            for (i, &v) in shard.agg.attr_rebuffer_us.iter().enumerate() {
-                rebuffer_us[i] += v;
-            }
-            for (i, &v) in shard.agg.attr_drops.iter().enumerate() {
-                drops[i] += v;
-            }
-        }
-        let total_rebuffer_us: u64 = rebuffer_us.iter().sum();
-        let total_drops: u64 = drops.iter().sum();
-        let share = |pred: fn(Cause) -> bool| {
-            if total_rebuffer_us == 0 {
-                return 0.0;
-            }
-            let us: u64 = Cause::ALL
-                .iter()
-                .filter(|c| pred(**c))
-                .map(|c| rebuffer_us[c.index()])
-                .sum();
-            us as f64 / total_rebuffer_us as f64
-        };
-        AttributionView {
-            causes: Cause::ALL
-                .iter()
-                .map(|c| AttributionEntry {
-                    cause: c.label().to_string(),
-                    rebuffer_us: rebuffer_us[c.index()],
-                    drops: drops[c.index()],
-                })
-                .collect(),
-            total_rebuffer_us,
-            total_drops,
-            memory_rebuffer_share: share(Cause::is_memory),
-            network_rebuffer_share: share(Cause::is_network),
-        }
     }
 
     /// Live status of one device.

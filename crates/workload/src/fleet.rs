@@ -663,11 +663,6 @@ impl FleetBatch {
         &self.users[i]
     }
 
-    /// Unwrap the batch back into its users.
-    pub fn into_users(self) -> Vec<FleetUser> {
-        self.users
-    }
-
     /// Pre-size every user's process arena for `extra` future spawns
     /// (see [`FleetUser::reserve_spawns`]). Touches no lane-mirrored
     /// state, so it is safe at any point between steps.

@@ -112,14 +112,6 @@ impl BackgroundApps {
         self.apps.len()
     }
 
-    /// Live (not killed) background apps.
-    pub fn alive_count(&self, m: &Machine) -> usize {
-        self.apps
-            .iter()
-            .filter(|a| !m.mm.proc(a.pid).dead)
-            .count()
-    }
-
     /// Total times a killed app's service restarted.
     pub fn respawns(&self) -> u64 {
         self.respawns

@@ -447,6 +447,12 @@ fn cases() -> Vec<Case> {
         case(SERVE, "scrape is not valid exposition", |v| {
             *at(v, "scrape") = Value::Str("fleet_recruited{ 80\n".into())
         }),
+        case(SERVE, "scrape_families 10 but the scrape has 9", |v| {
+            bump(v, "scrape_families", 1.0)
+        }),
+        case(SERVE, "scrape_samples 8 but the scrape has 9", |v| {
+            bump(v, "scrape_samples", -1.0)
+        }),
         case(SERVE, "missing field `parse_failures`", |v| {
             remove(v, "ack", "parse_failures")
         }),
@@ -490,5 +496,5 @@ fn every_rule_rejects_an_artifact_broken_its_way() {
             ),
         }
     }
-    assert_eq!(cases.len(), 59);
+    assert_eq!(cases.len(), 61);
 }

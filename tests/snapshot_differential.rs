@@ -143,10 +143,11 @@ proptest! {
         let cut = cut_at(&parent, &c);
         parent.run_until(&mut abr, cut);
 
+        let snap = parent.snapshot(&abr);
         let mut prints = Vec::new();
         for _ in 0..3 {
             let mut branch_abr = abr_for(&c, &cfg);
-            let mut branch = parent.fork(&abr, &mut branch_abr).expect("fork restores");
+            let mut branch = Session::restore(&snap, &mut branch_abr).expect("fork restores");
             branch.run_until(&mut branch_abr, SimTime::MAX);
             prints.push(fingerprint(&branch.finish(None)));
         }
@@ -185,12 +186,13 @@ fn forks_diverge_only_when_a_policy_knob_differs() {
         fingerprint(&s.finish(None))
     };
 
+    let snap = parent.snapshot(&abr);
     let mut abr_plain = abr_for(&c, &cfg);
-    let plain = parent.fork(&abr, &mut abr_plain).expect("fork restores");
+    let plain = Session::restore(&snap, &mut abr_plain).expect("fork restores");
     let plain_print = finish(plain, &mut abr_plain);
 
     let mut abr_knob = abr_for(&c, &cfg);
-    let mut knobbed = parent.fork(&abr, &mut abr_knob).expect("fork restores");
+    let mut knobbed = Session::restore(&snap, &mut abr_knob).expect("fork restores");
     knobbed.machine_mut().add_process(
         "cf.bgapp",
         ProcKind::Cached,
