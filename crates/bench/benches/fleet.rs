@@ -9,11 +9,10 @@
 //! streaming path must not be more than 1.3× slower than materializing —
 //! its whole point is bounding memory without giving up throughput — and
 //! must sustain an absolute throughput floor of 75,000 users/s (the
-//! committed baseline measures ~95,000 on an idle single-core box with
-//! the SoA batch stepper and the arena-backed kernel, up from ~50,000
-//! before the batching work; dropping below the floor means someone put
-//! allocation or quadratic work back on the per-user path, or knocked
-//! the quiescent fast path out of the batch loop).
+//! committed baseline measures ~181,000 on one worker of a 2-vCPU host;
+//! dropping below the floor means someone put allocation or quadratic
+//! work back on the per-user path, or made a calm second walk the kernel
+//! again).
 
 use criterion::{black_box, Criterion};
 use mvqoe_experiments::fleet_figs::{run_fleet_sharded, shard_count};
@@ -67,7 +66,7 @@ fn main() {
     g.bench_function("merge_two_50_user_shards", |b| {
         b.iter(|| {
             let mut m = left.clone();
-            m.merge(black_box(&right));
+            m.absorb(black_box(right.clone()));
             m
         })
     });

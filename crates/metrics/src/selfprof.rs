@@ -27,7 +27,9 @@ pub enum Phase {
     CoarseStep = 1,
     /// A scheduler selection that missed the O(cores) fast path.
     SchedSelectSlow = 2,
-    /// A fleet user's full (non-quiescent) 1 Hz step.
+    /// A fleet user's 1 Hz step on a second that is not quiescent: the
+    /// screen is on, a timer or standing-app respawn is due, or free memory
+    /// is below the high watermark.
     FleetSlowStep = 3,
 }
 

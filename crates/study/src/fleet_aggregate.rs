@@ -526,35 +526,22 @@ impl FleetAggregate {
         self.top.truncate(TOP_PRESSURE_K);
     }
 
-    /// Merge another shard's aggregate in. The two aggregates must cover
-    /// disjoint user-index sets; the merge is associative and
-    /// order-insensitive, so shards can combine in any tree shape.
-    pub fn merge(&mut self, other: &FleetAggregate) {
-        self.merge_totals(other);
-        self.hours = merge_by_idx(
-            std::mem::take(&mut self.hours),
-            other.hours.iter().copied(),
-            |&(i, _)| i,
-            usize::MAX,
-        );
-        self.digests = merge_by_idx(
-            std::mem::take(&mut self.digests),
-            other.digests.iter().cloned(),
-            |d| d.idx,
-            DEVICE_DIGEST_CAP,
-        );
-        for cand in &other.top {
-            self.offer_top(cand.pressure_time_fraction, cand.idx, || cand.clone());
-        }
-    }
-
-    /// Consuming counterpart of [`FleetAggregate::merge`]: byte-identical
-    /// result, but moves `other`'s per-device records instead of cloning
-    /// them. Shard fan-in merges dozens of owned aggregates; cloning every
-    /// digest (two `String`s each) on every merge made fan-in quadratic in
-    /// allocations, and this is what the sharded runners use instead.
+    /// Merge another shard's aggregate in, moving its per-device records.
+    /// The two aggregates must cover disjoint user-index sets; the merge is
+    /// associative and order-insensitive, so shards can combine in any tree
+    /// shape.
     pub fn absorb(&mut self, other: FleetAggregate) {
-        self.merge_totals(&other);
+        self.recruited += other.recruited;
+        self.kept += other.kept;
+        for (hist, ohist) in self.fig1.iter_mut().zip(&other.fig1) {
+            for (c, oc) in hist.iter_mut().zip(ohist) {
+                *c += oc;
+            }
+        }
+        self.counters.add(&other.counters);
+        for (band, oband) in self.bands.iter_mut().zip(&other.bands) {
+            band.merge(oband);
+        }
         self.hours = merge_by_idx(
             std::mem::take(&mut self.hours),
             other.hours,
@@ -569,22 +556,6 @@ impl FleetAggregate {
         );
         for cand in other.top {
             self.offer_top(cand.pressure_time_fraction, cand.idx, || cand);
-        }
-    }
-
-    /// The part of a merge that adds counts and bands, which
-    /// [`FleetAggregate::merge`] and [`FleetAggregate::absorb`] share.
-    fn merge_totals(&mut self, other: &FleetAggregate) {
-        self.recruited += other.recruited;
-        self.kept += other.kept;
-        for (hist, ohist) in self.fig1.iter_mut().zip(&other.fig1) {
-            for (c, oc) in hist.iter_mut().zip(ohist) {
-                *c += oc;
-            }
-        }
-        self.counters.add(&other.counters);
-        for (band, oband) in self.bands.iter_mut().zip(&other.bands) {
-            band.merge(oband);
         }
     }
 

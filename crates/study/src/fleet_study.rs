@@ -2,8 +2,10 @@
 //!
 //! The study streams: each user is simulated and immediately folded into a
 //! [`FleetAggregate`], so memory stays bounded by the aggregate's caps
-//! rather than by fleet size. Shards of the user-index range fold
-//! independently and [`FleetAggregate::merge`] back together with
+//! rather than by fleet size. Every path steps a user the same way, one
+//! [`FleetUser::step_1s`] per simulated second, and no user's samples
+//! depend on another's. Shards of the user-index range fold
+//! independently and [`FleetAggregate::absorb`] back together with
 //! byte-identical results — the million-device path in
 //! `mvqoe-experiments` is just `simulate_range` over contiguous index
 //! ranges fanned across workers.
@@ -11,7 +13,7 @@
 use crate::fleet_aggregate::FleetAggregate;
 use crate::observation::DeviceObservation;
 use mvqoe_sim::{SimRng, SimTime};
-use mvqoe_workload::{FleetBatch, FleetUser};
+use mvqoe_workload::FleetUser;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
@@ -119,21 +121,21 @@ impl UserStream {
 
     /// A fresh observation for this user's device and pattern.
     pub fn observation(&self) -> DeviceObservation {
-        let device = &self.user.device;
-        DeviceObservation::new(
-            &device.name,
-            &device.manufacturer,
-            device.ram_mib,
-            self.user.pattern,
-        )
+        observation_of(&self.user)
     }
+}
+
+/// A fresh observation for `user`'s device and pattern.
+fn observation_of(user: &FleetUser) -> DeviceObservation {
+    let d = &user.device;
+    DeviceObservation::new(&d.name, &d.manufacturer, d.ram_mib, user.pattern)
 }
 
 /// Start simulating one fleet user without folding anything. Draws happen
 /// in exactly [`simulate_user`]'s order — observation hours from the
 /// `hours-{i}` stream first, then the device/pattern streams inside
-/// [`FleetUser::new`] — so driving the returned stream to completion is
-/// byte-identical to the batch path.
+/// [`FleetUser::new`] — so driving the returned stream to completion
+/// yields the observation [`simulate_user`] and [`simulate_range`] fold.
 pub fn start_user(cfg: &FleetConfig, i: u32) -> UserStream {
     let root = SimRng::new(cfg.seed);
     let hours = observation_hours(cfg, &root, i);
@@ -153,78 +155,39 @@ fn observation_hours(cfg: &FleetConfig, root: &SimRng, i: u32) -> f64 {
         .clamp(cfg.hours_lo, cfg.hours_hi)
 }
 
-/// How many users [`simulate_range`] steps in lockstep per chunk.
-/// Large enough to amortize the batch's per-second lane sweep, small
-/// enough that a chunk's live memory managers fit in cache — sweeping 16
-/// managers (~50 KiB of hot state) measures ~10% faster than 64 on the
-/// fleet bench, and the curve is flat below that. Any value folds
-/// byte-identically (users are independent); [`simulate_range_chunked`]
-/// exposes the knob for the layout-equivalence tests.
-pub const BATCH_CHUNK: u32 = 16;
-
 /// Simulate a contiguous shard of the user-index range, folding each user
 /// into an aggregate as soon as it finishes — O(aggregate) memory, not
 /// O(shard size).
-pub fn simulate_range(cfg: &FleetConfig, users: Range<u32>) -> FleetAggregate {
-    simulate_range_chunked(cfg, users, BATCH_CHUNK)
-}
-
-/// [`simulate_range`] with an explicit lockstep chunk size. Users in a
-/// chunk advance together one simulated second at a time through a
-/// [`FleetBatch`], whose struct-of-arrays quiescence lanes let the common
-/// all-calm second touch one cache line per few dozen users instead of one
-/// `MemoryManager` per user. Each user's draws still come only from its own
-/// split RNG streams and its own memory manager, so the per-user sample
-/// sequence — and therefore every fold — is byte-identical at any `chunk`.
 ///
-/// One batch and one list of observations serve every chunk: each chunk
-/// renews the users and resets the observations in place
-/// ([`FleetBatch::renew`], [`DeviceObservation::reset`]), which builds
-/// exactly what [`start_user`] and [`UserStream::observation`] would
-/// without allocating them again.
-pub fn simulate_range_chunked(cfg: &FleetConfig, users: Range<u32>, chunk: u32) -> FleetAggregate {
+/// Each user steps to the end of its observation before the next one
+/// begins. One user and one observation serve the whole shard: each user
+/// renews them in place ([`FleetUser::renew`], [`DeviceObservation::reset`]),
+/// which builds exactly what [`start_user`] and [`UserStream::observation`]
+/// would without allocating them again.
+pub fn simulate_range(cfg: &FleetConfig, users: Range<u32>) -> FleetAggregate {
     let mut agg = FleetAggregate::new();
-    let chunk = chunk.max(1);
     let root = SimRng::new(cfg.seed);
-    let mut batch = FleetBatch::new(Vec::new());
-    let mut observations: Vec<DeviceObservation> = Vec::new();
-    let mut hours: Vec<f64> = Vec::new();
-    let mut secs: Vec<u64> = Vec::new();
-    let mut start = users.start;
-    while start < users.end {
-        let end = users.end.min(start.saturating_add(chunk));
-        batch.renew(start..end, &root);
-        hours.clear();
-        hours.extend((start..end).map(|i| observation_hours(cfg, &root, i)));
-        secs.clear();
-        secs.extend(hours.iter().map(|&h| observation_seconds(h)));
-        observations.truncate(batch.len());
-        for (j, user) in batch.users().iter().enumerate() {
-            let d = &user.device;
-            match observations.get_mut(j) {
-                Some(obs) => obs.reset(&d.name, &d.manufacturer, d.ram_mib, user.pattern),
-                None => observations.push(DeviceObservation::new(
-                    &d.name,
-                    &d.manufacturer,
-                    d.ram_mib,
-                    user.pattern,
-                )),
+    let mut live: Option<(FleetUser, DeviceObservation)> = None;
+    for i in users {
+        let hours = observation_hours(cfg, &root, i);
+        let (user, obs) = match &mut live {
+            Some((user, obs)) => {
+                user.renew(i, &root);
+                let d = &user.device;
+                obs.reset(&d.name, &d.manufacturer, d.ram_mib, user.pattern);
+                (user, obs)
             }
-        }
-        let max_secs = secs.iter().copied().max().unwrap_or(0);
-        for s in 0..max_secs {
-            let now = SimTime::from_secs(s);
-            for j in 0..batch.len() {
-                if s < secs[j] {
-                    let sample = batch.step_1s(j, now);
-                    observations[j].record(&sample);
-                }
+            None => {
+                let user = FleetUser::new(i, &root);
+                let obs = observation_of(&user);
+                let (user, obs) = live.insert((user, obs));
+                (user, obs)
             }
+        };
+        for s in 0..observation_seconds(hours) {
+            obs.record(&user.step_1s(SimTime::from_secs(s)));
         }
-        for (j, obs) in observations.iter().enumerate() {
-            agg.fold(cfg, start + j as u32, obs, hours[j]);
-        }
-        start = end;
+        agg.fold(cfg, i, obs, hours);
     }
     agg
 }
@@ -311,8 +274,8 @@ mod tests {
         let cfg = small_cfg();
         let serial = small_fleet();
         let mut merged = simulate_range(&cfg, 0..3);
-        merged.merge(&simulate_range(&cfg, 3..7));
-        merged.merge(&simulate_range(&cfg, 7..8));
+        merged.absorb(simulate_range(&cfg, 3..7));
+        merged.absorb(simulate_range(&cfg, 7..8));
         let merged_json = serde_json::to_string(&merged).unwrap();
         let serial_json = serde_json::to_string(serial).unwrap();
         assert_eq!(merged_json, serial_json, "shard merge must be exact");
@@ -351,12 +314,11 @@ mod tests {
     }
 
     #[test]
-    fn chunk_size_does_not_change_the_aggregate() {
-        // The lockstep batch is a pure layout change, and renewing users
-        // and observations across chunks a pure buffer reuse: any chunk
-        // size must fold to the same bytes as per-user simulation. The
-        // million-user shape's 85 users end in a partial chunk at 3, 16
-        // and 64.
+    fn simulate_range_folds_like_simulate_user() {
+        // Renewing one user and one observation for every user of a shard
+        // is a pure buffer reuse: the shard must fold to the same bytes as
+        // users built fresh by `simulate_user`. The million-user shape
+        // renews across 85 users with second-scale observations.
         let million = FleetConfig::scaled(1000, 11, 0.008, 0.0008);
         for (cfg, users) in [(small_cfg(), 0..8u32), (million, 5..90)] {
             let mut reference = FleetAggregate::new();
@@ -364,23 +326,19 @@ mod tests {
                 let (obs, hours) = simulate_user(&cfg, i);
                 reference.fold(&cfg, i, &obs, hours);
             }
-            let reference = serde_json::to_string(&reference).unwrap();
-            for chunk in [1u32, 3, BATCH_CHUNK, 64] {
-                let agg = simulate_range_chunked(&cfg, users.clone(), chunk);
-                assert_eq!(
-                    serde_json::to_string(&agg).unwrap(),
-                    reference,
-                    "chunk {chunk} over {users:?} must fold byte-identically"
-                );
-            }
+            assert_eq!(
+                serde_json::to_string(&simulate_range(&cfg, users.clone())).unwrap(),
+                serde_json::to_string(&reference).unwrap(),
+                "users {users:?} must fold byte-identically"
+            );
         }
     }
 
     #[test]
     fn user_stream_replay_matches_simulate_user() {
         // The load-generator path: emit samples, replay them through a
-        // fresh observation elsewhere. Must be byte-identical to the
-        // batch path for the same user.
+        // fresh observation elsewhere. Must be byte-identical to
+        // `simulate_user` for the same user.
         let cfg = small_cfg();
         for i in [0u32, 3, 7] {
             let (expected_obs, expected_hours) = simulate_user(&cfg, i);
@@ -399,7 +357,7 @@ mod tests {
             assert_eq!(
                 serde_json::to_string(&replayed).unwrap(),
                 serde_json::to_string(&expected_obs).unwrap(),
-                "user {i}: replayed observation must match the batch path"
+                "user {i}: replayed observation must match simulate_user's"
             );
         }
     }

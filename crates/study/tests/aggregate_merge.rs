@@ -75,7 +75,7 @@ proptest! {
     /// Any 3-way contiguous split of the fleet, merged left-to-right,
     /// reproduces the serial fold byte-for-byte — and so does merging the
     /// same parts grouped and ordered differently (associativity and
-    /// order-insensitivity of `FleetAggregate::merge`).
+    /// order-insensitivity of `FleetAggregate::absorb`).
     #[test]
     fn merge_is_associative_and_order_insensitive(
         blobs in prop::collection::vec(
@@ -109,33 +109,22 @@ proptest! {
 
         // (p0 + p1) + p2
         let mut left = p0.clone();
-        left.merge(&p1);
-        left.merge(&p2);
+        left.absorb(p1.clone());
+        left.absorb(p2.clone());
         prop_assert_eq!(&json(&left), &reference);
 
         // p0 + (p1 + p2)
         let mut right_inner = p1.clone();
-        right_inner.merge(&p2);
+        right_inner.absorb(p2.clone());
         let mut right = p0.clone();
-        right.merge(&right_inner);
+        right.absorb(right_inner);
         prop_assert_eq!(&json(&right), &reference);
 
         // (p2 + p0) + p1 — out-of-order shards arriving as workers finish.
-        let mut shuffled = p2.clone();
-        shuffled.merge(&p0);
-        shuffled.merge(&p1);
+        let mut shuffled = p2;
+        shuffled.absorb(p0);
+        shuffled.absorb(p1);
         prop_assert_eq!(&json(&shuffled), &reference);
-
-        // The consuming merge the shard fan-in uses is byte-identical to
-        // the borrowing one, in order and out of order.
-        let mut absorbed = p0.clone();
-        absorbed.absorb(p1.clone());
-        absorbed.absorb(p2.clone());
-        prop_assert_eq!(&json(&absorbed), &reference);
-        let mut absorbed_rev = p2;
-        absorbed_rev.absorb(p0);
-        absorbed_rev.absorb(p1);
-        prop_assert_eq!(&json(&absorbed_rev), &reference);
     }
 
     /// Merging an empty aggregate is the identity, from either side.
@@ -159,11 +148,11 @@ proptest! {
         let reference = json(&full);
 
         let mut left = full.clone();
-        left.merge(&FleetAggregate::new());
+        left.absorb(FleetAggregate::new());
         prop_assert_eq!(&json(&left), &reference);
 
         let mut right = FleetAggregate::new();
-        right.merge(&full);
+        right.absorb(full.clone());
         prop_assert_eq!(&json(&right), &reference);
     }
 }

@@ -399,14 +399,9 @@ impl ServiceState {
                 "finalize with {} observation(s) still in flight",
                 shard.active.len()
             );
-            out.merge(&shard.agg);
+            out.absorb(shard.agg.clone());
         }
         out
-    }
-
-    /// Number of shards in the ring.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
     }
 }
 

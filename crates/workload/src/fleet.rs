@@ -21,7 +21,6 @@ use mvqoe_kernel::{MemoryManager, Pages, ProcKind, ProcName, ProcessId, TrimLeve
 use mvqoe_metrics::selfprof;
 use mvqoe_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
 
 /// Self-reported usage frequencies on the survey's 1–5 scale, plus derived
 /// behavioural rates.
@@ -280,7 +279,8 @@ impl FleetUser {
 
     /// Advance one second of this user's life and return the 1 Hz sample.
     pub fn step_1s(&mut self, now: SimTime) -> FleetSample {
-        let _prof = selfprof::span(selfprof::Phase::FleetSlowStep);
+        // Self-profiling counts only the seconds that do real work.
+        let _prof = (!self.quiescent(now)).then(|| selfprof::span(selfprof::Phase::FleetSlowStep));
         // Screen on/off cycle.
         if now >= self.toggle_at {
             self.interactive = !self.interactive;
@@ -324,40 +324,6 @@ impl FleetUser {
             }
         }
 
-        self.finish_step(now)
-    }
-
-    /// True when the next second's step can touch nothing beyond the RNG:
-    /// screen off with the toggle in the future, no standing-app
-    /// bookkeeping pending, and free memory at the high watermark (the
-    /// coarse kernel step is a provable no-op there). The batch stepper
-    /// uses this to serve such seconds from its lanes.
-    fn quiescent(&self, now: SimTime) -> bool {
-        !self.interactive
-            && now < self.toggle_at
-            && !self.standing_dirty
-            && now < self.standing_due
-            && self.mm.free() >= self.mm.config().watermark_high
-    }
-
-    /// The idle-second background-sync draw, split out so the batch fast
-    /// path can roll it without entering the full step.
-    fn idle_chance_fires(&mut self) -> bool {
-        self.rng.chance(0.002)
-    }
-
-    /// Finish an idle second whose background-sync chance already fired
-    /// (drawn by the batch fast path).
-    fn idle_fired_step(&mut self, now: SimTime) -> FleetSample {
-        if let Some(pid) = self.random_cached_pid() {
-            self.mm.touch_anon(now, pid, Pages::from_mib(4));
-        }
-        self.finish_step(now)
-    }
-
-    /// Standing-app scan + kernel dynamics + sample: the tail every step
-    /// variant shares.
-    fn finish_step(&mut self, now: SimTime) -> FleetSample {
         // Preinstalled services respawn after lmkd kills them — Android
         // aggressively re-caches processes (paper §2 fn. 6), which is what
         // refills the LRU and lets the trim level recover between episodes.
@@ -400,6 +366,19 @@ impl FleetUser {
             interactive: self.interactive,
             n_services: self.mm.cached_proc_count(),
         }
+    }
+
+    /// True when the step at `now` can touch nothing beyond the RNG: screen
+    /// off with the toggle in the future, no standing-app bookkeeping
+    /// pending, and free memory at the high watermark (the coarse kernel
+    /// step is a provable no-op there). Only the idle background-sync draw,
+    /// and the rare sync it fires, can change anything.
+    fn quiescent(&self, now: SimTime) -> bool {
+        !self.interactive
+            && now < self.toggle_at
+            && !self.standing_dirty
+            && now < self.standing_due
+            && self.mm.free() >= self.mm.config().watermark_high
     }
 
     /// Walk the standing apps: assign respawn deadlines to the newly dead
@@ -554,179 +533,6 @@ impl FleetUser {
     }
 }
 
-/// A batch of fleet users stepped together, with the per-user scalar state
-/// the 1 Hz loop actually consults — toggle deadlines, interactive flags,
-/// standing-app bookkeeping, and the current sample fields — mirrored into
-/// parallel arrays (structure-of-arrays).
-///
-/// Most fleet seconds are *quiescent*: screen off, no deadline due, free
-/// memory at the high watermark. For those the only work with an observable
-/// effect is the per-second background-sync RNG draw; everything else the
-/// sample needs is unchanged since the last real step. The batch serves
-/// such seconds from its lanes — a handful of sequential array reads plus
-/// one RNG draw — instead of walking each user's `MemoryManager`. Any
-/// second that does real work falls back to [`FleetUser::step_1s`] and
-/// refreshes the user's lanes, so batched stepping is *exactly* the
-/// per-object stepping, observation for observation.
-pub struct FleetBatch {
-    users: Vec<FleetUser>,
-    // Quiescence lanes.
-    toggle_at: Vec<SimTime>,
-    interactive: Vec<bool>,
-    standing_due: Vec<SimTime>,
-    standing_dirty: Vec<bool>,
-    calm: Vec<bool>,
-    // Sample lanes (valid while the user stays quiescent).
-    available_mib: Vec<f64>,
-    utilization_pct: Vec<f64>,
-    trim: Vec<TrimLevel>,
-    n_services: Vec<u32>,
-}
-
-impl FleetBatch {
-    /// Wrap `users` for batched stepping.
-    pub fn new(users: Vec<FleetUser>) -> FleetBatch {
-        let mut batch = FleetBatch {
-            users,
-            toggle_at: Vec::new(),
-            interactive: Vec::new(),
-            standing_due: Vec::new(),
-            standing_dirty: Vec::new(),
-            calm: Vec::new(),
-            available_mib: Vec::new(),
-            utilization_pct: Vec::new(),
-            trim: Vec::new(),
-            n_services: Vec::new(),
-        };
-        batch.mirror_all();
-        batch
-    }
-
-    /// Make the batch hold users `idxs` of the fleet rooted at `root`,
-    /// exactly as `FleetBatch::new` over fresh [`FleetUser::new`]s would.
-    /// Users already held are renewed in place ([`FleetUser::renew`]),
-    /// missing ones are built and surplus ones dropped, so the batch also
-    /// shrinks to a shard's partial last chunk.
-    pub fn renew(&mut self, idxs: Range<u32>, root: &SimRng) {
-        self.users.truncate(idxs.len());
-        for (j, idx) in idxs.enumerate() {
-            match self.users.get_mut(j) {
-                Some(user) => user.renew(idx, root),
-                None => self.users.push(FleetUser::new(idx, root)),
-            }
-        }
-        self.mirror_all();
-    }
-
-    /// Size every lane to the users held and mirror each user's state in.
-    fn mirror_all(&mut self) {
-        let n = self.users.len();
-        self.toggle_at.resize(n, SimTime::ZERO);
-        self.interactive.resize(n, false);
-        self.standing_due.resize(n, SimTime::ZERO);
-        self.standing_dirty.resize(n, false);
-        self.calm.resize(n, false);
-        self.available_mib.resize(n, 0.0);
-        self.utilization_pct.resize(n, 0.0);
-        self.trim.resize(n, TrimLevel::Normal);
-        self.n_services.resize(n, 0);
-        for (i, u) in self.users.iter().enumerate() {
-            self.toggle_at[i] = u.toggle_at;
-            self.interactive[i] = u.interactive;
-            self.standing_due[i] = u.standing_due;
-            self.standing_dirty[i] = u.standing_dirty;
-            self.calm[i] = u.mm.free() >= u.mm.config().watermark_high;
-            self.available_mib[i] = u.mm.available().mib();
-            self.utilization_pct[i] = u.mm.utilization_pct();
-            self.trim[i] = u.mm.trim_level();
-            self.n_services[i] = u.mm.cached_proc_count();
-        }
-    }
-
-    /// Number of users in the batch.
-    pub fn len(&self) -> usize {
-        self.users.len()
-    }
-
-    /// True when the batch holds no users.
-    pub fn is_empty(&self) -> bool {
-        self.users.is_empty()
-    }
-
-    /// The users, for inspection.
-    pub fn users(&self) -> &[FleetUser] {
-        &self.users
-    }
-
-    /// One user, for inspection.
-    pub fn user(&self, i: usize) -> &FleetUser {
-        &self.users[i]
-    }
-
-    /// Pre-size every user's process arena for `extra` future spawns
-    /// (see [`FleetUser::reserve_spawns`]). Touches no lane-mirrored
-    /// state, so it is safe at any point between steps.
-    pub fn reserve_spawns(&mut self, extra: usize) {
-        for u in &mut self.users {
-            u.reserve_spawns(extra);
-        }
-    }
-
-    /// Re-mirror user `i`'s state into the lanes after a full step. The
-    /// sample the step just produced already carries the memory-state
-    /// fields, so the lanes copy them instead of recomputing from the
-    /// `MemoryManager`. Every lane except the interactive flag is only
-    /// ever read behind a `!interactive[i]` guard, so while the user is
-    /// mid-session the rest can stay stale — interactive stepping pays
-    /// one store, not ten.
-    fn refresh(&mut self, i: usize, sample: &FleetSample) {
-        let u = &self.users[i];
-        self.interactive[i] = u.interactive;
-        if u.interactive {
-            return;
-        }
-        self.toggle_at[i] = u.toggle_at;
-        self.standing_due[i] = u.standing_due;
-        self.standing_dirty[i] = u.standing_dirty;
-        self.calm[i] = u.mm.free() >= u.mm.config().watermark_high;
-        self.available_mib[i] = sample.available_mib;
-        self.utilization_pct[i] = sample.utilization_pct;
-        self.trim[i] = sample.trim;
-        self.n_services[i] = sample.n_services;
-    }
-
-    /// Advance user `i` by one second. Produces exactly the sample
-    /// [`FleetUser::step_1s`] would.
-    pub fn step_1s(&mut self, i: usize, now: SimTime) -> FleetSample {
-        if !self.interactive[i]
-            && now < self.toggle_at[i]
-            && !self.standing_dirty[i]
-            && now < self.standing_due[i]
-            && self.calm[i]
-        {
-            debug_assert!(self.users[i].quiescent(now));
-            if !self.users[i].idle_chance_fires() {
-                // Nothing observable happened: the sample is last step's
-                // memory state at the new timestamp, read from the lanes.
-                return FleetSample {
-                    at: now,
-                    available_mib: self.available_mib[i],
-                    utilization_pct: self.utilization_pct[i],
-                    trim: self.trim[i],
-                    interactive: false,
-                    n_services: self.n_services[i],
-                };
-            }
-            let sample = self.users[i].idle_fired_step(now);
-            self.refresh(i, &sample);
-            return sample;
-        }
-        let sample = self.users[i].step_1s(now);
-        self.refresh(i, &sample);
-        sample
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -829,30 +635,6 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    #[test]
-    fn batched_step_matches_per_object_step() {
-        let root = SimRng::new(41);
-        let mut solo: Vec<FleetUser> = (0..6).map(|i| FleetUser::new(i, &root)).collect();
-        let batched: Vec<FleetUser> = (0..6).map(|i| FleetUser::new(i, &root)).collect();
-        let mut batch = FleetBatch::new(batched);
-        for s in 0..(3 * 3600u64) {
-            let now = SimTime::from_secs(s);
-            for (i, u) in solo.iter_mut().enumerate() {
-                let a = u.step_1s(now);
-                let b = batch.step_1s(i, now);
-                assert_eq!(
-                    (a.at, a.available_mib, a.utilization_pct, a.trim, a.interactive, a.n_services),
-                    (b.at, b.available_mib, b.utilization_pct, b.trim, b.interactive, b.n_services),
-                    "user {i} diverged at {now}"
-                );
-            }
-        }
-        for (i, u) in solo.iter().enumerate() {
-            assert_eq!(u.kills_observed(), batch.user(i).kills_observed());
-            assert_eq!(u.mm().accounted_pages(), batch.user(i).mm().accounted_pages());
-        }
-    }
-
     /// A sample's fields as one comparable value.
     fn fields(s: &FleetSample) -> (SimTime, f64, f64, TrimLevel, bool, u32) {
         (
@@ -896,35 +678,6 @@ mod tests {
             assert_eq!(fresh.kills_observed(), user.kills_observed());
             assert_eq!(serde::to_value(&fresh.mm()), serde::to_value(&user.mm()));
         }
-    }
-
-    #[test]
-    fn batch_renew_matches_a_new_batch_and_shrinks() {
-        let root = SimRng::new(41);
-        let step_all = |batch: &mut FleetBatch, secs: std::ops::Range<u64>| {
-            for s in secs {
-                for j in 0..batch.len() {
-                    batch.step_1s(j, SimTime::from_secs(s));
-                }
-            }
-        };
-        let mut batch = FleetBatch::new((0..6).map(|i| FleetUser::new(i, &root)).collect());
-        step_all(&mut batch, 0..3600);
-        // A partial last chunk: three users where six were.
-        batch.renew(6..9, &root);
-        assert_eq!(batch.len(), 3);
-        let mut fresh = FleetBatch::new((6..9).map(|i| FleetUser::new(i, &root)).collect());
-        for s in 0..(3 * 3600u64) {
-            let now = SimTime::from_secs(s);
-            for j in 0..3 {
-                let (a, b) = (fresh.step_1s(j, now), batch.step_1s(j, now));
-                assert_eq!(fields(&a), fields(&b), "user {j} diverged at {now}");
-            }
-        }
-        // And it grows back.
-        batch.renew(9..17, &root);
-        assert_eq!(batch.len(), 8);
-        step_all(&mut batch, 0..60);
     }
 
     #[test]

@@ -19,6 +19,6 @@ pub mod fleet;
 pub mod mp_simulator;
 pub mod organic;
 
-pub use fleet::{FleetBatch, FleetSample, FleetUser, UsagePattern};
+pub use fleet::{FleetSample, FleetUser, UsagePattern};
 pub use mp_simulator::MpSimulator;
 pub use organic::BackgroundApps;

@@ -1,6 +1,6 @@
 //! Proof that the warm fleet stepping path — including lmkd kill /
 //! standing-app respawn churn — allocates exactly nothing, that renewing a
-//! warm batch and its observations in place allocates nothing either, and
+//! warm user and its observations in place allocates nothing either, and
 //! that a whole shard of the million-user fleet stays within a small
 //! allocation budget per user while folding byte-identically to users
 //! built one at a time.
@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use mvqoe_sim::{SimRng, SimTime};
 use mvqoe_study::{simulate_range, simulate_user, DeviceObservation, FleetAggregate, FleetConfig};
-use mvqoe_workload::{FleetBatch, FleetUser};
+use mvqoe_workload::FleetUser;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -75,35 +75,36 @@ fn warm_fleet_steps_without_allocating() {
     const MEASURE_SECS: u64 = 2 * 3600;
 
     let root = SimRng::new(42);
-    let users: Vec<FleetUser> = (0..USERS).map(|i| FleetUser::new(i, &root)).collect();
-    let mut batch = FleetBatch::new(users);
+    let mut users: Vec<FleetUser> = (0..USERS).map(|i| FleetUser::new(i, &root)).collect();
 
     // Warm-up: hours of simulated life so every user has been through
     // screen-on sessions, lmkd kill storms, and standing-app respawns.
     // The process arena's free list and every scratch buffer reach their
     // steady-state capacity here.
-    for s in 0..WARM_SECS {
-        let now = SimTime::from_secs(s);
-        for j in 0..batch.len() {
-            batch.step_1s(j, now);
+    for user in &mut users {
+        for s in 0..WARM_SECS {
+            user.step_1s(SimTime::from_secs(s));
         }
     }
 
-    let kills_before: u64 = (0..batch.len()).map(|j| batch.user(j).kills_observed()).sum();
+    let kills = |users: &[FleetUser]| users.iter().map(FleetUser::kills_observed).sum::<u64>();
+    let kills_before = kills(&users);
 
     // Process ids are monotonic, so the pid→slot map grows with every
     // spawn regardless of how many slots recycle; reserve headroom for
     // the window's spawns so its amortized doubling cannot land inside
     // the counted region. 4096 covers the window's launches and respawns
     // (a few hundred per user) many times over.
-    batch.reserve_spawns(4096);
+    for user in &mut users {
+        user.reserve_spawns(4096);
+    }
 
-    // The measured window: the same lockstep loop the fleet study runs.
+    // The measured window: each user steps on through the window before
+    // the next one does, as the fleet study steps them.
     let n = count_allocs(|| {
-        for s in WARM_SECS..WARM_SECS + MEASURE_SECS {
-            let now = SimTime::from_secs(s);
-            for j in 0..batch.len() {
-                batch.step_1s(j, now);
+        for user in &mut users {
+            for s in WARM_SECS..WARM_SECS + MEASURE_SECS {
+                user.step_1s(SimTime::from_secs(s));
             }
         }
     });
@@ -111,8 +112,7 @@ fn warm_fleet_steps_without_allocating() {
     // The window must actually contain churn, or "zero allocations" would
     // be a statement about an idle loop rather than about spawn/respawn
     // recycling through the arena.
-    let kills_after: u64 = (0..batch.len()).map(|j| batch.user(j).kills_observed()).sum();
-    let churn = kills_after - kills_before;
+    let churn = kills(&users) - kills_before;
     assert!(
         churn > 0,
         "measurement window saw no lmkd kills; widen it so the claim covers churn"
@@ -123,30 +123,28 @@ fn warm_fleet_steps_without_allocating() {
          with {churn} kills (and their respawns) in the window"
     );
 
-    // A warm chunk of a shard: the batch renewed in place and each user's
-    // observation reset, then stepped and recorded. The first pass sizes
-    // every buffer for these users; the second, counted, renews the same
-    // users into them and must neither allocate nor observe anything else.
-    let mut observations: Vec<DeviceObservation> = Vec::new();
-    let live_chunk = |batch: &mut FleetBatch, observations: &mut Vec<DeviceObservation>| {
-        batch.renew(0..USERS, &root);
-        observations.resize_with(batch.len(), || {
-            DeviceObservation::new("", "", 1, Default::default())
-        });
-        for (obs, user) in observations.iter_mut().zip(batch.users()) {
+    // A warm shard: one user renewed in place for each index in turn, as
+    // `simulate_range` renews it, with that index's observation reset,
+    // then stepped and recorded. The first pass sizes every buffer for
+    // these users; the second, counted, renews the same users into them
+    // and must neither allocate nor observe anything else.
+    let mut observations: Vec<DeviceObservation> = (0..USERS)
+        .map(|_| DeviceObservation::new("", "", 1, Default::default()))
+        .collect();
+    let live_shard = |user: &mut FleetUser, observations: &mut [DeviceObservation]| {
+        for (idx, obs) in (0..USERS).zip(observations.iter_mut()) {
+            user.renew(idx, &root);
             let d = &user.device;
             obs.reset(&d.name, &d.manufacturer, d.ram_mib, user.pattern);
-        }
-        for s in 0..MEASURE_SECS {
-            let now = SimTime::from_secs(s);
-            for (j, obs) in observations.iter_mut().enumerate() {
-                obs.record(&batch.step_1s(j, now));
+            for s in 0..MEASURE_SECS {
+                obs.record(&user.step_1s(SimTime::from_secs(s)));
             }
         }
     };
-    live_chunk(&mut batch, &mut observations);
+    let user = &mut users[0];
+    live_shard(user, &mut observations);
     let first = serde_json::to_string(&observations).unwrap();
-    let n = count_allocs(|| live_chunk(&mut batch, &mut observations));
+    let n = count_allocs(|| live_shard(user, &mut observations));
     assert_eq!(
         n, 0,
         "a warm renew, reset and {MEASURE_SECS} s of stepping allocated {n} times"
@@ -155,8 +153,9 @@ fn warm_fleet_steps_without_allocating() {
 
     // A whole shard at the million-user shape, cold: construction,
     // stepping and fold. Built fresh for every user, this shard made 38.6
-    // allocations per user; recycled users and observations leave 7.1, a
-    // count that repeats exactly for a seed.
+    // allocations per user; one user and one observation renewed for
+    // every user leave 4.5 (1,149 in all), a count that repeats exactly
+    // for a seed.
     const SHARD: u32 = 256;
     let cfg = FleetConfig::scaled(SHARD, 7, 0.008, 0.0008);
     let mut agg = FleetAggregate::new();
